@@ -1,8 +1,8 @@
-//! Criterion bench: the register-tiled microkernel (Sec. 6), in isolation.
+//! Criterion bench: the L1-tile microkernel (Sec. 6), in isolation.
 
-use conv_exec::microkernel::{run_microkernel, KernelRegion};
-use conv_exec::{PackedKernel, Tensor4};
-use conv_spec::ConvShape;
+use conv_exec::microkernel::KernelRegion;
+use conv_exec::{active_backend, KPanels, L1Kernel, PackedKernel, Tensor4};
+use conv_spec::{ConvShape, Permutation, TileConfig, TileSizes, TilingLevel};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 fn bench_microkernel(c: &mut Criterion) {
@@ -10,22 +10,20 @@ fn bench_microkernel(c: &mut Criterion) {
     let input = Tensor4::random(shape.n, shape.c, shape.input_h(), shape.input_w(), 1);
     let kernel = Tensor4::random(shape.k, shape.c, shape.r, shape.s, 2);
     let packed = PackedKernel::pack(&shape, &kernel, 8);
-    // A register tile like the paper's 2x(8-lane) x 6-pixel block.
-    let region = KernelRegion {
-        n: (0, 1),
-        k: (0, 16),
-        c: (0, shape.c),
-        r: (0, shape.r),
-        s: (0, shape.s),
-        h: (0, 1),
-        w: (0, 6),
-    };
-    let flops = 2 * region.macs() as u64;
+    // An L1 tile of 16 channels × 2 rows over the whole reduction, run as
+    // register tiles like the paper's 2×(8-lane) × 6-pixel block.
+    let tile = KernelRegion { k: (0, 16), h: (0, 2), ..KernelRegion::full(&shape) };
+    let mut config = TileConfig::untiled(&shape);
+    config.permutation = Permutation::parse("nkhwcrs").unwrap();
+    *config.level_mut(TilingLevel::Register) = TileSizes::from_array([1, 16, 64, 3, 3, 1, 6]);
+    let panels = KPanels::new(&shape, &packed, &[16], &[tile.k]);
+    let flops = 2 * tile.macs() as u64;
     let mut group = c.benchmark_group("microkernel");
     group.throughput(Throughput::Elements(flops));
-    group.bench_function("register_tile_16x6", |b| {
+    group.bench_function("l1_tile_16x6", |b| {
         let mut out = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
-        b.iter(|| run_microkernel(&shape, &input, &packed, &mut out, &region));
+        let mut l1 = L1Kernel::new(&shape, &config, &panels, active_backend(), &input, &mut out);
+        b.iter(|| l1.run(&tile));
     });
     group.finish();
 }

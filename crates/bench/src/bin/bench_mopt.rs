@@ -16,7 +16,9 @@
 
 use std::time::Instant;
 
-use conv_exec::{active_backend, NchwcConv, SimdBackend, Tensor4, TiledConv};
+use conv_exec::{
+    active_backend, ExecStats, NchwcConv, PackedKernel, SimdBackend, Tensor4, TiledConv,
+};
 use conv_spec::{ConvShape, LayoutConfig, MachineModel};
 use mopt_core::{MOptOptimizer, OptimizerOptions};
 use mopt_service::{
@@ -131,6 +133,12 @@ struct ExecutorThroughput {
     /// Worst absolute element difference against the scalar tiled output
     /// (0.0 for scalar executors; ULP-bounded for FMA backends).
     max_abs_delta: f64,
+    /// Vector FMA instructions the run issued (0 on the scalar backend). A
+    /// row dispatched to `avx2fma` with 0 here never ran the vector path.
+    vector_steps: u64,
+    /// `gflops` as a fraction of the machine *preset's* peak
+    /// ([`ExecReport::preset_peak_gflops`]), not of the host's.
+    peak_fraction: f64,
 }
 
 /// Measured executor throughput on one representative conv shape.
@@ -142,13 +150,17 @@ struct ExecReport {
     flops: usize,
     /// Timed repeats per executor; `seconds` is the best of them.
     repeats: usize,
+    /// The machine preset the schedule was optimized for.
+    preset: String,
+    /// The preset's peak, `simd_width × fma_units × 2 × clock_ghz` GFLOP/s.
+    preset_peak_gflops: f64,
     /// One row per executor.
     executors: Vec<ExecutorThroughput>,
 }
 
 /// Time one executor: a warmup run (also the correctness sample), then
 /// `repeats` timed runs keeping the best.
-fn time_exec(repeats: usize, mut run: impl FnMut() -> Tensor4) -> (f64, Tensor4) {
+fn time_exec<T>(repeats: usize, mut run: impl FnMut() -> T) -> (f64, T) {
     let output = run();
     let mut best = f64::INFINITY;
     for _ in 0..repeats {
@@ -163,70 +175,89 @@ fn time_exec(repeats: usize, mut run: impl FnMut() -> Tensor4) -> (f64, Tensor4)
 /// Benchmark the three executors on one representative conv shape, using the
 /// schedule the optimizer itself picks for that shape. The scalar tiled loop
 /// nest is the reference: the other rows report their worst element delta
-/// against it (exactly 0.0 unless an FMA backend fuses roundings).
+/// against it (exactly 0.0 unless an FMA backend fuses roundings). Every
+/// timed run includes kernel packing.
 fn run_exec_bench(repeats: usize) -> ExecReport {
     // ResNet-ish mid-layer: SIMD-friendly channel counts, big enough that
     // throughput is memory-plus-compute, small enough for a debug-build run.
     let shape = ConvShape::new_general(1, 64, 64, 3, 3, 28, 28, 1, 1, 1).expect("bench shape");
     let machine = MachineModel::i7_9700k();
     let options = OptimizerOptions { max_classes: 1, ..OptimizerOptions::fast() };
-    let config = MOptOptimizer::new(shape, machine, options).optimize().best().config.clone();
+    let config =
+        MOptOptimizer::new(shape, machine.clone(), options).optimize().best().config.clone();
 
     let input = Tensor4::random(shape.n, shape.c, shape.input_h(), shape.input_w(), 11);
     let kernel = Tensor4::random(shape.k, shape.reduction_c(), shape.r, shape.s, 13);
 
-    let scalar = TiledConv::new(shape, config.clone(), 1)
-        .expect("scalar tiled executor")
-        .with_backend(SimdBackend::Scalar);
-    let (scalar_seconds, reference) = time_exec(repeats, || scalar.run(&input, &kernel));
-
-    let simd = TiledConv::new(shape, config.clone(), 1)
-        .expect("simd tiled executor")
-        .with_backend(active_backend());
-    let (simd_seconds, simd_out) = time_exec(repeats, || simd.run(&input, &kernel));
+    let tiled = |backend| {
+        let exec =
+            TiledConv::new(shape, config.clone(), 1).expect("tiled executor").with_backend(backend);
+        time_exec(repeats, || {
+            exec.run_packed_with_stats(&input, &PackedKernel::pack(&shape, &kernel, 8))
+        })
+    };
+    let (scalar_seconds, (reference, scalar_stats)) = tiled(SimdBackend::Scalar);
+    let (simd_seconds, (simd_out, simd_stats)) = tiled(active_backend());
 
     let blocked = NchwcConv::new(shape, config.with_layout(LayoutConfig::blocked(8)), 1)
         .expect("nchwc executor");
-    let (nchwc_seconds, nchwc_out) = time_exec(repeats, || blocked.run(&input, &kernel));
+    let (nchwc_seconds, (nchwc_out, nchwc_stats)) =
+        time_exec(repeats, || blocked.run_with_stats(&input, &kernel));
 
-    let delta = |out: &Tensor4| {
-        reference
-            .as_slice()
-            .iter()
-            .zip(out.as_slice())
-            .map(|(a, b)| (a - b).abs() as f64)
-            .fold(0.0f64, f64::max)
-    };
     let flops = shape.flops();
+    let preset_peak_gflops =
+        (machine.simd_width * machine.fma_units * 2) as f64 * machine.clock_ghz;
     let row = |executor: &str,
                backend: SimdBackend,
                layout: &LayoutConfig,
                seconds: f64,
-               max_abs_delta: f64| ExecutorThroughput {
-        executor: executor.to_string(),
-        backend: backend.name().to_string(),
-        layout: layout.tag(),
-        seconds,
-        gflops: flops as f64 / seconds / 1e9,
-        max_abs_delta,
+               out: &Tensor4,
+               stats: ExecStats| {
+        let gflops = flops as f64 / seconds / 1e9;
+        ExecutorThroughput {
+            executor: executor.to_string(),
+            backend: backend.name().to_string(),
+            layout: layout.tag(),
+            seconds,
+            gflops,
+            max_abs_delta: reference
+                .as_slice()
+                .iter()
+                .zip(out.as_slice())
+                .map(|(a, b)| (a - b).abs() as f64)
+                .fold(0.0f64, f64::max),
+            vector_steps: stats.vector_steps,
+            peak_fraction: gflops / preset_peak_gflops,
+        }
     };
     let default_layout = LayoutConfig::default();
     let blocked_layout = LayoutConfig::blocked(8);
+    let executors = vec![
+        row(
+            "tiled-scalar",
+            SimdBackend::Scalar,
+            &default_layout,
+            scalar_seconds,
+            &reference,
+            scalar_stats,
+        ),
+        row("nchwc", active_backend(), &blocked_layout, nchwc_seconds, &nchwc_out, nchwc_stats),
+        row(
+            "microkernel-simd",
+            active_backend(),
+            &default_layout,
+            simd_seconds,
+            &simd_out,
+            simd_stats,
+        ),
+    ];
     ExecReport {
         shape,
         flops,
         repeats,
-        executors: vec![
-            row("tiled-scalar", SimdBackend::Scalar, &default_layout, scalar_seconds, 0.0),
-            row("nchwc", active_backend(), &blocked_layout, nchwc_seconds, delta(&nchwc_out)),
-            row(
-                "microkernel-simd",
-                active_backend(),
-                &default_layout,
-                simd_seconds,
-                delta(&simd_out),
-            ),
-        ],
+        preset: machine.name.clone(),
+        preset_peak_gflops,
+        executors,
     }
 }
 
@@ -459,13 +490,16 @@ fn main() {
         std::process::exit(1);
     }
     // Self-checks on the executor rows: throughput is finite and positive,
-    // seconds·gflops reproduces the shape's FLOPs, and every executor agrees
-    // with the scalar reference to FMA rounding tolerance.
+    // seconds·gflops reproduces the shape's FLOPs, peak_fraction is gflops
+    // over the preset peak, and every executor agrees with the scalar
+    // reference to FMA rounding tolerance.
     for exec_row in &report.exec.executors {
         let rebuilt = exec_row.gflops * exec_row.seconds * 1e9;
         let flops = report.exec.flops as f64;
+        let peak = exec_row.peak_fraction * report.exec.preset_peak_gflops;
         if !(exec_row.gflops.is_finite() && exec_row.gflops > 0.0)
             || (rebuilt - flops).abs() > flops * 1e-6
+            || (peak - exec_row.gflops).abs() > exec_row.gflops * 1e-9
             || exec_row.max_abs_delta > 1e-4
         {
             eprintln!(
@@ -473,6 +507,15 @@ fn main() {
                  (gflops {}, seconds {}, max_abs_delta {})",
                 exec_row.executor, exec_row.gflops, exec_row.seconds, exec_row.max_abs_delta
             );
+            std::process::exit(1);
+        }
+        // Self-check: a row dispatched to the vector backend must have run
+        // the vector path.
+        if exec_row.executor == "microkernel-simd"
+            && exec_row.backend == SimdBackend::Avx2Fma.name()
+            && exec_row.vector_steps == 0
+        {
+            eprintln!("bench_mopt: microkernel-simd dispatched to avx2fma ran 0 vector steps");
             std::process::exit(1);
         }
     }

@@ -129,7 +129,7 @@ impl FusedDwPw {
     ) -> Tensor4 {
         self.check_inputs(input, dw_kernel, pw_kernel);
         let bands = self.bands();
-        let chunks = crate::tiled::split_range(bands.len(), threads.max(1));
+        let chunks: Vec<_> = crate::tiled::split_range(bands.len(), threads.max(1)).collect();
         if chunks.len() <= 1 {
             return self.run(input, dw_kernel, pw_kernel);
         }

@@ -11,12 +11,14 @@
 //! * [`im2col`] — an im2col + cache-blocked GEMM convolution (the substrate
 //!   used by the oneDNN-like baseline in `baselines`),
 //! * [`packing`] — the `[K,C,R,S] → [K/VecLen, C, R, S, VecLen]` kernel
-//!   packing transform,
-//! * [`microkernel`] — the register-tiled inner kernel (accumulators held in
-//!   a small stack block), generic over logical input/output views, with a
-//!   runtime-dispatched AVX2+FMA inner loop (`is_x86_feature_detected!`,
-//!   overridable via `MOPT_FORCE_SCALAR`) that is ULP-bounded against the
-//!   exact scalar reference path,
+//!   packing transform and the per-run `[C][R][S][⌈nk/8⌉·8]` panels of
+//!   each register K block,
+//! * [`microkernel`] — the L1-tile microkernel: each register output block
+//!   held in vector accumulators across the L1 tile's whole reduction,
+//!   generic over strided-row input/output views, with a runtime-dispatched
+//!   AVX2+FMA inner loop (`is_x86_feature_detected!`, overridable via
+//!   `MOPT_FORCE_SCALAR`) that is ULP-bounded against the exact scalar
+//!   reference path,
 //! * [`tiled`] — the multi-level tiled executor driven by a
 //!   [`conv_spec::TileConfig`] with thread-parallel outer loops,
 //! * [`nchwc`] — the blocked-NCHWc executor: the same tile walk over
@@ -66,17 +68,16 @@ pub mod tiled;
 pub use fused::{pointwise_consumer, FusedDwPw};
 pub use measure::{measure_gflops, MeasureOptions, Measurement};
 pub use microkernel::{
-    active_backend, detected_backend, force_scalar, run_microkernel_with_backend, InputView,
-    OutputView, SimdBackend,
+    active_backend, detected_backend, force_scalar, InputView, L1Kernel, OutputView, SimdBackend,
 };
 pub use nchwc::{BlockedTensor, NchwcConv};
-pub use packing::PackedKernel;
+pub use packing::{KPanels, PackedKernel};
 pub use partiled::ParTiledConv;
 pub use spec_exec::{
     elementwise_naive, elementwise_tiled, matmul_naive, matmul_tiled, pool2d_naive, pool2d_tiled,
 };
 pub use tensor::Tensor4;
-pub use tiled::TiledConv;
+pub use tiled::{ExecStats, TiledConv};
 
 /// Errors produced by the executor.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -16,14 +16,15 @@ use conv_spec::{ConvShape, LayoutConfig, TensorLayout, TileConfig};
 use crate::microkernel::{InputView, KernelRegion, OutputView};
 use crate::packing::PackedKernel;
 use crate::tensor::Tensor4;
-use crate::tiled::TiledConv;
+use crate::tiled::{ExecStats, TiledConv};
 use crate::ExecError;
 
 /// A dense 4-D feature map stored in blocked NCHWc order
 /// (`[N, C/c_block, H, W, c_block]`, channels padded up to whole blocks).
 ///
-/// Indexing is logical NCHW — the block decomposition is internal — so the
-/// same microkernel code runs over [`Tensor4`] and `BlockedTensor` unchanged.
+/// Indexing is logical NCHW — the block decomposition is internal — and a
+/// channel's rows are strided by `c_block`, so the same microkernel code
+/// runs over [`Tensor4`] and `BlockedTensor` unchanged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockedTensor {
     dims: (usize, usize, usize, usize),
@@ -110,20 +111,21 @@ impl BlockedTensor {
 }
 
 impl InputView for BlockedTensor {
-    #[inline(always)]
-    fn value(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {
-        self.at(n, c, h, w)
+    fn buffer(&self) -> &[f32] {
+        &self.data
+    }
+    fn row(&self, n: usize, c: usize, h: usize) -> usize {
+        self.layout.offset((n, c, h, 0), self.dims)
+    }
+    fn strides(&self) -> (usize, usize) {
+        let c_block = self.c_block();
+        (self.dims.3 * c_block, c_block)
     }
 }
 
 impl OutputView for BlockedTensor {
-    #[inline(always)]
-    fn value(&self, n: usize, k: usize, h: usize, w: usize) -> f32 {
-        self.at(n, k, h, w)
-    }
-    #[inline(always)]
-    fn value_mut(&mut self, n: usize, k: usize, h: usize, w: usize) -> &mut f32 {
-        self.at_mut(n, k, h, w)
+    fn buffer_mut(&mut self) -> &mut [f32] {
+        &mut self.data
     }
 }
 
@@ -177,19 +179,21 @@ impl NchwcConv {
     /// loops over blocked storage, unblock the output. The layout transforms
     /// are part of the run, exactly like the one-time moves the model prices.
     pub fn run(&self, input: &Tensor4, kernel: &Tensor4) -> Tensor4 {
+        self.run_with_stats(input, kernel).0
+    }
+
+    /// [`Self::run`], also reporting what the run executed.
+    pub fn run_with_stats(&self, input: &Tensor4, kernel: &Tensor4) -> (Tensor4, ExecStats) {
         crate::naive::check_dims(self.shape(), input, kernel);
         let shape = *self.shape();
         let c_block = self.c_block();
         let blocked_in = BlockedTensor::from_nchw(input, c_block);
         let packed = PackedKernel::pack(&shape, kernel, vec_len_of(&self.layout));
+        let full = KernelRegion::full(&shape);
+        let panels = self.inner.panels(&packed, [&full]);
         let mut blocked_out = BlockedTensor::zeros((shape.n, shape.k, shape.h, shape.w), c_block);
-        self.inner.execute_region(
-            &blocked_in,
-            &packed,
-            &mut blocked_out,
-            &KernelRegion::full(&shape),
-        );
-        blocked_out.to_nchw()
+        let vector_steps = self.inner.execute_region(&blocked_in, &panels, &mut blocked_out, &full);
+        (blocked_out.to_nchw(), ExecStats { vector_steps })
     }
 }
 

@@ -38,13 +38,13 @@ impl PackedKernel {
         );
         let layout = PackedKernelLayout::new(shape, vec_len);
         let mut data = vec![0.0f32; layout.len()];
-        for k in 0..shape.k {
-            for c in 0..shape.reduction_c() {
-                for r in 0..shape.r {
-                    for s in 0..shape.s {
-                        data[layout.offset(k, c, r, s)] = kernel.at(k, c, r, s);
-                    }
-                }
+        // `KCRS` keeps each output channel's `C·R·S` weights contiguous; they
+        // land `vec_len` apart in the channel's packed lane.
+        let crs = shape.reduction_c() * shape.r * shape.s;
+        for (k, weights) in kernel.as_slice().chunks_exact(crs.max(1)).enumerate() {
+            let base = (k / vec_len) * crs * vec_len + k % vec_len;
+            for (i, &value) in weights.iter().enumerate() {
+                data[base + i * vec_len] = value;
             }
         }
         PackedKernel { layout, data }
@@ -79,6 +79,120 @@ impl PackedKernel {
         let base = self.layout.group_base(k, c, r, s);
         &self.data[base..base + self.layout.vec_len]
     }
+}
+
+/// Lanes per panel vector: one AVX2 register of `f32`.
+pub const PANEL_LANES: usize = 8;
+
+/// The packed kernel re-laid for the L1-tile microkernel
+/// ([`crate::microkernel::L1Kernel`]): one `[C][R][S][⌈nk/8⌉·8]` panel per
+/// register K block, zero-padded to whole vectors.
+///
+/// A panel row (one `(c, r, s)`) is every output channel of its block side
+/// by side, so the microkernel loads it as `⌈nk/8⌉` aligned-width vectors
+/// whatever the block's start and length. The K partition depends only on
+/// the K tile sizes and the walked K ranges, so the panels are built once
+/// per run. Blocks never straddle a channel group: a register K block that
+/// crosses a group edge is split there, exactly as the microkernel splits
+/// it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KPanels {
+    crs: usize,
+    data: Vec<f32>,
+    /// `(offset, nk)` of the panel whose block starts at output channel `k`
+    /// (`nk == 0` where no block starts).
+    starts: Vec<(usize, usize)>,
+}
+
+impl KPanels {
+    /// Panels for every register K block of a walk over each of
+    /// `k_ranges` (`(start, len)`), tiled by `k_tiles` — the K tile sizes
+    /// from the outermost level down to the register level. Ranges must be
+    /// identical or disjoint, as the executors' partitions are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two walked blocks start at the same channel with
+    /// different lengths (overlapping ranges).
+    pub fn new(
+        shape: &ConvShape,
+        packed: &PackedKernel,
+        k_tiles: &[usize],
+        k_ranges: &[(usize, usize)],
+    ) -> Self {
+        let crs = shape.reduction_c() * shape.r * shape.s;
+        let vl = packed.vec_len();
+        let src = packed.as_slice();
+        let mut blocks = Vec::new();
+        for &range in k_ranges {
+            split_k(range, k_tiles, &mut blocks);
+        }
+        let mut panels = KPanels { crs, data: Vec::new(), starts: vec![(0, 0); shape.k] };
+        let mut lane_src = Vec::new();
+        for (k0, nk, _) in blocks.into_iter().flat_map(|(k0, nk)| group_blocks(shape, k0, nk)) {
+            match panels.starts[k0] {
+                (_, 0) => {}
+                (_, len) => {
+                    assert_eq!(len, nk, "K blocks overlap at channel {k0}");
+                    continue;
+                }
+            }
+            let width = nk.div_ceil(PANEL_LANES) * PANEL_LANES;
+            let base = panels.data.len();
+            panels.starts[k0] = (base, nk);
+            panels.data.resize(base + crs * width, 0.0);
+            lane_src.clear();
+            lane_src.extend((k0..k0 + nk).map(|k| (k / vl) * crs * vl + k % vl));
+            for (i, row) in panels.data[base..].chunks_exact_mut(width).enumerate() {
+                for (dst, &lane) in row.iter_mut().zip(&lane_src) {
+                    *dst = src[lane + i * vl];
+                }
+            }
+        }
+        panels
+    }
+
+    /// The panel of the block `k0..k0 + nk`: `C·R·S` rows of
+    /// `⌈nk/8⌉·8` lanes, row `(c·R + r)·S + s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no block of that extent was built.
+    pub fn panel(&self, k0: usize, nk: usize) -> &[f32] {
+        let (offset, len) = self.starts[k0];
+        assert!(len == nk && nk > 0, "no K panel for channels {k0}..{}", k0 + nk);
+        &self.data[offset..offset + self.crs * nk.div_ceil(PANEL_LANES) * PANEL_LANES]
+    }
+}
+
+/// Split `(start, len)` by each tile size in turn, as the tile walk does,
+/// appending the innermost chunks.
+fn split_k((start, len): (usize, usize), k_tiles: &[usize], out: &mut Vec<(usize, usize)>) {
+    let Some((&t, rest)) = k_tiles.split_first() else {
+        out.push((start, len));
+        return;
+    };
+    let t = t.max(1);
+    for off in (0..len).step_by(t) {
+        split_k((start + off, t.min(len - off)), rest, out);
+    }
+}
+
+/// The single-group pieces `(k_lo, len, c_base)` of the K block
+/// `k0..k0 + nk`, where `c_base` is the absolute input channel of the
+/// piece's group-relative channel 0. A dense shape yields the block itself
+/// with `c_base == 0`.
+pub(crate) fn group_blocks(
+    shape: &ConvShape,
+    k0: usize,
+    nk: usize,
+) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    let k_per_group = shape.k_per_group().max(1);
+    shape.groups_spanned(k0, nk).map(move |group| {
+        let k_lo = k0.max(group * k_per_group);
+        let k_hi = ((group + 1) * k_per_group).min(k0 + nk);
+        (k_lo, k_hi - k_lo, shape.input_channel(k_lo, 0))
+    })
 }
 
 #[cfg(test)]
@@ -137,5 +251,35 @@ mod tests {
         let s = shape();
         let kernel = Tensor4::zeros(s.k, s.c, s.r, s.s);
         let _ = PackedKernel::pack(&s, &kernel, 0);
+    }
+
+    #[test]
+    fn panels_hold_each_register_k_block_zero_padded() {
+        // K = 10 in two groups of 5, tiled by 7 then 3: blocks (0,3),
+        // (3,3), (6,1), (7,3), and (3,3) is split at the group edge.
+        let s = ConvShape::new_general(1, 10, 10, 3, 3, 4, 4, 1, 1, 2).unwrap();
+        let kernel = Tensor4::random(s.k, s.reduction_c(), s.r, s.s, 5);
+        let packed = PackedKernel::pack(&s, &kernel, 4);
+        let panels = KPanels::new(&s, &packed, &[7, 3], &[(0, s.k)]);
+        let crs = s.reduction_c() * s.r * s.s;
+        for (k0, nk) in [(0, 3), (3, 2), (5, 1), (6, 1), (7, 3)] {
+            let panel = panels.panel(k0, nk);
+            assert_eq!(panel.len(), crs * PANEL_LANES);
+            for (i, row) in panel.chunks_exact(PANEL_LANES).enumerate() {
+                let (c, r, sx) = (i / (s.r * s.s), i / s.s % s.r, i % s.s);
+                for (lane, &value) in row.iter().enumerate() {
+                    let expected = if lane < nk { kernel.at(k0 + lane, c, r, sx) } else { 0.0 };
+                    assert_eq!(value, expected, "block {k0}+{nk} row {i} lane {lane}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no K panel")]
+    fn panels_reject_unwalked_blocks() {
+        let s = shape();
+        let packed = PackedKernel::pack(&s, &Tensor4::zeros(s.k, s.c, s.r, s.s), 8);
+        let _ = KPanels::new(&s, &packed, &[4], &[(0, s.k)]).panel(2, 4);
     }
 }

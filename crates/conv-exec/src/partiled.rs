@@ -97,44 +97,15 @@ impl ParTiledConv {
         self.run_packed(input, &packed)
     }
 
-    /// Run the convolution with an already packed kernel.
+    /// Run the convolution with an already packed kernel. Each worker
+    /// accumulates its regions into a private full-size scratch tensor
+    /// (regions address absolute coordinates) and the owned output points
+    /// are merged afterwards. Regions are disjoint across workers, so the
+    /// merge never overlaps; transient memory is bounded by
+    /// `workers × |output|` with workers capped at `threads` (and at the
+    /// slice count).
     pub fn run_packed(&self, input: &Tensor4, packed: &PackedKernel) -> Tensor4 {
-        let shape = *self.shape();
-        let mut output = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
-        let slices = self.partition();
-        if slices.len() <= 1 {
-            let full = KernelRegion::full(&shape);
-            self.seq.execute_region(input, packed, &mut output, &full);
-            return output;
-        }
-        // Each worker accumulates its regions into a private full-size
-        // scratch tensor (regions address absolute coordinates); the owned
-        // output points are merged afterwards. Regions are disjoint across
-        // workers, so the merge never overlaps. Transient memory is bounded
-        // by `workers × |output|` with workers capped at `threads` (and at
-        // the slice count), and the merge copies each output point once.
-        let partials: Vec<Tensor4> = std::thread::scope(|scope| {
-            let handles: Vec<_> = slices
-                .iter()
-                .map(|regions| {
-                    let seq = &self.seq;
-                    scope.spawn(move || {
-                        let mut scratch = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
-                        for region in regions {
-                            seq.execute_region(input, packed, &mut scratch, region);
-                        }
-                        scratch
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-        });
-        for (regions, partial) in slices.iter().zip(&partials) {
-            for region in regions {
-                copy_region_output(partial, &mut output, region);
-            }
-        }
-        output
+        self.seq.run_slices(input, packed, &self.partition()).0
     }
 
     /// Partition the output into per-worker region lists.
@@ -166,7 +137,6 @@ impl ParTiledConv {
         }
         match self.axis {
             ParallelAxis::OutputChannels => split_range(shape.k, self.threads)
-                .into_iter()
                 .map(|k| vec![KernelRegion { k, ..full }])
                 .collect(),
             ParallelAxis::OutputRows => {
@@ -175,7 +145,6 @@ impl ParTiledConv {
                 // straddle a batch boundary).
                 let rows = shape.n * shape.h;
                 split_range(rows, self.threads)
-                    .into_iter()
                     .map(|(start, len)| {
                         let mut regions = Vec::new();
                         let mut row = start;
@@ -213,7 +182,7 @@ impl ParTiledConv {
             if f <= 1 {
                 continue;
             }
-            let chunks = split_range(extent, f);
+            let chunks: Vec<_> = split_range(extent, f).collect();
             regions = regions
                 .iter()
                 .flat_map(|region| {
@@ -232,19 +201,6 @@ impl ParTiledConv {
                 .collect();
         }
         regions
-    }
-}
-
-/// Copy the output points a region owns from `partial` into `output`.
-fn copy_region_output(partial: &Tensor4, output: &mut Tensor4, region: &KernelRegion) {
-    for n in region.n.0..region.n.0 + region.n.1 {
-        for k in region.k.0..region.k.0 + region.k.1 {
-            for h in region.h.0..region.h.0 + region.h.1 {
-                for w in region.w.0..region.w.0 + region.w.1 {
-                    *output.at_mut(n, k, h, w) = partial.at(n, k, h, w);
-                }
-            }
-        }
     }
 }
 

@@ -2,20 +2,31 @@
 //!
 //! `TiledConv` realizes the loop structure the paper's code generator emits:
 //! L3-, L2- and L1-level tile loops (in the configuration's permutation
-//! order) around the register-tiled microkernel, with the kernel tensor
-//! packed up front and the outer loops optionally parallelized across
-//! threads along the output-channel (and batch) dimension so that threads
-//! never write the same output element (Sec. 7 restricts parallelism to
-//! non-reduction dimensions for the same reason).
+//! order) around the register-tiled microkernel, which runs each L1 tile
+//! whole ([`L1Kernel`]). The kernel is packed up front and re-laid once per
+//! run into per-register-K-block panels ([`KPanels`]), and the outer loops
+//! are optionally parallelized across threads along the output-channel (and
+//! batch) dimension so that threads never write the same output element
+//! (Sec. 7 restricts parallelism to non-reduction dimensions for the same
+//! reason).
 
 use conv_spec::{ConvShape, LoopIndex, TileConfig, TileSizes, TilingLevel};
 
 use crate::microkernel::{
-    run_microkernel, run_microkernel_with_backend, InputView, KernelRegion, OutputView, SimdBackend,
+    active_backend, tiles, InputView, KernelRegion, L1Kernel, OutputView, SimdBackend,
 };
-use crate::packing::PackedKernel;
+use crate::packing::{KPanels, PackedKernel};
 use crate::tensor::Tensor4;
 use crate::ExecError;
+
+/// Counters of one executor run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// Vector FMA instructions the AVX2 inner loop issued; 0 when the
+    /// scalar backend ran. A run dispatched to `avx2fma` that reports 0
+    /// never reached the vector path.
+    pub vector_steps: u64,
+}
 
 /// A multi-level tiled convolution executor for one operator.
 #[derive(Debug, Clone)]
@@ -81,110 +92,74 @@ impl TiledConv {
 
     /// Run the convolution with an already packed kernel.
     pub fn run_packed(&self, input: &Tensor4, packed: &PackedKernel) -> Tensor4 {
-        let mut output = Tensor4::zeros(self.shape.n, self.shape.k, self.shape.h, self.shape.w);
+        self.run_packed_with_stats(input, packed).0
+    }
+
+    /// [`Self::run_packed`], also reporting what the run executed.
+    pub fn run_packed_with_stats(
+        &self,
+        input: &Tensor4,
+        packed: &PackedKernel,
+    ) -> (Tensor4, ExecStats) {
+        let full = KernelRegion::full(&self.shape);
         let threads = self.effective_threads();
-        if threads <= 1 {
-            let full = KernelRegion::full(&self.shape);
-            self.execute_region(input, packed, &mut output, &full);
-            return output;
-        }
+        // Threads own disjoint output slices: contiguous K chunks, or N
+        // chunks for batched problems.
+        let slices: Vec<Vec<KernelRegion>> = if threads <= 1 {
+            vec![vec![full]]
+        } else if self.shape.n > 1 {
+            split_range(self.shape.n, threads).map(|n| vec![KernelRegion { n, ..full }]).collect()
+        } else {
+            split_range(self.shape.k, threads).map(|k| vec![KernelRegion { k, ..full }]).collect()
+        };
+        self.run_slices(input, packed, &slices)
+    }
 
-        // Parallelize along the output-channel dimension: each thread owns a
-        // contiguous K range, whose output slice is a contiguous chunk of the
-        // NCHW buffer when N == 1; for N > 1 each thread still owns disjoint
-        // (n, k) slices because we split K only.
-        let k_chunks = split_range(self.shape.k, threads);
-        let plane = self.shape.h * self.shape.w;
-        std::thread::scope(|scope| {
-            let mut rest = output.as_mut_slice();
-            let mut offset = 0usize;
-            // For N == 1 chunks are contiguous; for N > 1 fall back to
-            // per-thread buffers merged afterwards (handled below).
-            if self.shape.n == 1 {
-                for (k_lo, k_len) in &k_chunks {
-                    let chunk_elems = k_len * plane;
-                    let (chunk, tail) = rest.split_at_mut(chunk_elems);
-                    rest = tail;
-                    let k_lo = *k_lo;
-                    let k_len = *k_len;
-                    let shape = self.shape;
-                    let this = &*self;
+    /// Run each slice's regions on its own scoped thread (inline for a
+    /// single slice) and assemble the output. Every output point belongs to
+    /// exactly one region.
+    pub(crate) fn run_slices(
+        &self,
+        input: &Tensor4,
+        packed: &PackedKernel,
+        slices: &[Vec<KernelRegion>],
+    ) -> (Tensor4, ExecStats) {
+        let shape = self.shape;
+        let panels = self.panels(packed, slices.iter().flatten());
+        let mut output = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
+        if let [regions] = slices {
+            let vector_steps =
+                regions.iter().map(|r| self.execute_region(input, &panels, &mut output, r)).sum();
+            return (output, ExecStats { vector_steps });
+        }
+        // Each worker accumulates its regions into a private full-size
+        // scratch tensor (regions address absolute coordinates); the owned
+        // output points are merged afterwards.
+        let partials: Vec<(Tensor4, u64)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = slices
+                .iter()
+                .map(|regions| {
+                    let panels = &panels;
                     scope.spawn(move || {
-                        let mut local =
-                            Tensor4::from_vec((1, k_len, shape.h, shape.w), chunk.to_vec());
-                        let region = KernelRegion {
-                            n: (0, 1),
-                            k: (k_lo, k_len),
-                            c: (0, shape.reduction_c()),
-                            r: (0, shape.r),
-                            s: (0, shape.s),
-                            h: (0, shape.h),
-                            w: (0, shape.w),
-                        };
-                        // Execute into a view-local tensor, then copy back into
-                        // the chunk (the region indexes absolute k, so we use a
-                        // full-size scratch only for the owned K slice).
                         let mut scratch = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
-                        this.execute_region(input, packed, &mut scratch, &region);
-                        for k in 0..k_len {
-                            for h in 0..shape.h {
-                                for w in 0..shape.w {
-                                    *local.at_mut(0, k, h, w) = scratch.at(0, k_lo + k, h, w);
-                                }
-                            }
-                        }
-                        chunk.copy_from_slice(local.as_slice());
-                    });
-                    offset += chunk_elems;
-                }
-                let _ = offset;
-            }
-        });
-
-        if self.shape.n > 1 {
-            // Batch > 1: split along N instead (always disjoint, not
-            // necessarily contiguous) using per-thread scratch outputs.
-            let mut output = Tensor4::zeros(self.shape.n, self.shape.k, self.shape.h, self.shape.w);
-            let n_chunks = split_range(self.shape.n, threads);
-            let partials: Vec<Tensor4> = std::thread::scope(|scope| {
-                let handles: Vec<_> = n_chunks
-                    .iter()
-                    .map(|&(n_lo, n_len)| {
-                        let shape = self.shape;
-                        let this = &*self;
-                        scope.spawn(move || {
-                            let mut scratch = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
-                            let region = KernelRegion {
-                                n: (n_lo, n_len),
-                                k: (0, shape.k),
-                                c: (0, shape.reduction_c()),
-                                r: (0, shape.r),
-                                s: (0, shape.s),
-                                h: (0, shape.h),
-                                w: (0, shape.w),
-                            };
-                            this.execute_region(input, packed, &mut scratch, &region);
-                            scratch
-                        })
+                        let steps = regions
+                            .iter()
+                            .map(|r| self.execute_region(input, panels, &mut scratch, r))
+                            .sum();
+                        (scratch, steps)
                     })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-            });
-            for (chunk, partial) in n_chunks.iter().zip(partials.iter()) {
-                let (n_lo, n_len) = *chunk;
-                for n in n_lo..n_lo + n_len {
-                    for k in 0..self.shape.k {
-                        for h in 0..self.shape.h {
-                            for w in 0..self.shape.w {
-                                *output.at_mut(n, k, h, w) = partial.at(n, k, h, w);
-                            }
-                        }
-                    }
-                }
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
+        });
+        let mut stats = ExecStats::default();
+        for (regions, (partial, steps)) in slices.iter().zip(&partials) {
+            stats.vector_steps += steps;
+            for region in regions {
+                copy_region_output(partial, &mut output, region);
             }
-            return output;
         }
-        output
+        (output, stats)
     }
 
     fn effective_threads(&self) -> usize {
@@ -192,130 +167,112 @@ impl TiledConv {
         self.threads.clamp(1, limit.max(1))
     }
 
-    /// Execute the multi-level tile loops over an arbitrary base region.
-    /// Shared with [`crate::ParTiledConv`], whose worker threads each run it
-    /// over their slice of the output, and with [`crate::NchwcConv`], which
-    /// runs it over blocked NCHWc views — the walk is generic over logical
-    /// views so every storage layout goes through the identical arithmetic.
+    /// The K panels for walks over `regions`.
+    pub(crate) fn panels<'r>(
+        &self,
+        packed: &PackedKernel,
+        regions: impl IntoIterator<Item = &'r KernelRegion>,
+    ) -> KPanels {
+        let mut k_ranges: Vec<(usize, usize)> = regions.into_iter().map(|r| r.k).collect();
+        k_ranges.sort_unstable();
+        k_ranges.dedup();
+        let mut k_tiles = TilingLevel::ALL.map(|level| self.config.level(level).get(LoopIndex::K));
+        k_tiles.reverse(); // outermost (L3) first, as walked
+        KPanels::new(&self.shape, packed, &k_tiles, &k_ranges)
+    }
+
+    /// Execute the multi-level tile loops over an arbitrary base region and
+    /// return the vector steps issued. Shared with [`crate::ParTiledConv`],
+    /// whose worker threads each run it over their slice of the output, and
+    /// with [`crate::NchwcConv`], which runs it over blocked NCHWc views —
+    /// the walk is generic over logical views so every storage layout goes
+    /// through the identical arithmetic. `panels` must cover `base`'s K
+    /// range ([`Self::panels`]).
     pub(crate) fn execute_region<I: InputView, O: OutputView>(
         &self,
         input: &I,
-        packed: &PackedKernel,
+        panels: &KPanels,
         output: &mut O,
         base: &KernelRegion,
-    ) {
-        // Levels from outermost to innermost: L3, L2, L1, Register.
+    ) -> u64 {
+        let backend = self.backend.unwrap_or_else(active_backend);
+        let mut kernel = L1Kernel::new(&self.shape, &self.config, panels, backend, input, output);
+        // Levels from outermost to innermost: L3, L2, L1; the kernel runs
+        // each L1 tile's register tiles.
         let chain = [
             *self.config.level(TilingLevel::L3),
             *self.config.level(TilingLevel::L2),
             *self.config.level(TilingLevel::L1),
-            *self.config.level(TilingLevel::Register),
         ];
-        self.walk_level(&chain, input, packed, output, base);
+        self.walk_level(&chain, &mut kernel, base);
+        kernel.vector_steps()
     }
 
     fn walk_level<I: InputView, O: OutputView>(
         &self,
         chain: &[TileSizes],
-        input: &I,
-        packed: &PackedKernel,
-        output: &mut O,
+        kernel: &mut L1Kernel<'_, I, O>,
         region: &KernelRegion,
     ) {
         match chain.split_first() {
-            None => match self.backend {
-                None => run_microkernel(&self.shape, input, packed, output, region),
-                Some(backend) => run_microkernel_with_backend(
-                    &self.shape,
-                    input,
-                    packed,
-                    output,
-                    region,
-                    backend,
-                ),
-            },
+            None => kernel.run(region),
             Some((tile, rest)) => {
-                self.walk_dims(tile, rest, 0, input, packed, output, region, &mut region.clone());
+                self.walk_dims(tile, rest, 0, kernel, region, &mut region.clone())
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn walk_dims<I: InputView, O: OutputView>(
         &self,
         tile: &TileSizes,
         rest: &[TileSizes],
         dim: usize,
-        input: &I,
-        packed: &PackedKernel,
-        output: &mut O,
+        kernel: &mut L1Kernel<'_, I, O>,
         enclosing: &KernelRegion,
         current: &mut KernelRegion,
     ) {
         if dim == 7 {
             let sub = *current;
-            self.walk_level(rest, input, packed, output, &sub);
+            self.walk_level(rest, kernel, &sub);
             return;
         }
         let idx = self.config.permutation.outer_to_inner()[dim];
-        let (base, extent) = region_field(enclosing, idx);
-        let t = tile.get(idx).max(1);
-        let mut off = 0;
-        while off < extent {
-            let len = t.min(extent - off);
-            set_region_field(current, idx, (base + off, len));
-            self.walk_dims(tile, rest, dim + 1, input, packed, output, enclosing, current);
-            off += t;
+        for range in tiles(enclosing.get(idx), tile.get(idx)) {
+            current.set(idx, range);
+            self.walk_dims(tile, rest, dim + 1, kernel, enclosing, current);
         }
-        set_region_field(current, idx, (base, extent));
+        current.set(idx, enclosing.get(idx));
     }
 }
 
-fn region_field(r: &KernelRegion, idx: LoopIndex) -> (usize, usize) {
-    match idx {
-        LoopIndex::N => r.n,
-        LoopIndex::K => r.k,
-        LoopIndex::C => r.c,
-        LoopIndex::R => r.r,
-        LoopIndex::S => r.s,
-        LoopIndex::H => r.h,
-        LoopIndex::W => r.w,
+/// Copy the output points a region owns from `partial` into `output`.
+fn copy_region_output(partial: &Tensor4, output: &mut Tensor4, region: &KernelRegion) {
+    for n in region.n.0..region.n.0 + region.n.1 {
+        for k in region.k.0..region.k.0 + region.k.1 {
+            for h in region.h.0..region.h.0 + region.h.1 {
+                let row = partial.offset(n, k, h, region.w.0);
+                output.as_mut_slice()[row..row + region.w.1]
+                    .copy_from_slice(&partial.as_slice()[row..row + region.w.1]);
+            }
+        }
     }
 }
 
-fn set_region_field(r: &mut KernelRegion, idx: LoopIndex, value: (usize, usize)) {
-    match idx {
-        LoopIndex::N => r.n = value,
-        LoopIndex::K => r.k = value,
-        LoopIndex::C => r.c = value,
-        LoopIndex::R => r.r = value,
-        LoopIndex::S => r.s = value,
-        LoopIndex::H => r.h = value,
-        LoopIndex::W => r.w = value,
-    }
-}
-
-/// Split `extent` into at most `parts` contiguous `(start, len)` chunks.
-pub(crate) fn split_range(extent: usize, parts: usize) -> Vec<(usize, usize)> {
+/// Split `extent` into at most `parts` contiguous `(start, len)` chunks
+/// whose lengths differ by at most one.
+pub(crate) fn split_range(extent: usize, parts: usize) -> impl Iterator<Item = (usize, usize)> {
     let parts = parts.clamp(1, extent.max(1));
-    let base = extent / parts;
-    let rem = extent % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
+    let (base, rem) = (extent / parts, extent % parts);
+    (0..parts).filter_map(move |i| {
         let len = base + usize::from(i < rem);
-        if len == 0 {
-            continue;
-        }
-        out.push((start, len));
-        start += len;
-    }
-    out
+        (len > 0).then_some((i * base + i.min(rem), len))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::microkernel::run_microkernel;
     use crate::naive::conv2d_naive;
     use conv_spec::Permutation;
 
@@ -547,10 +504,83 @@ mod tests {
         }
     }
 
+    /// The executor's loop nest before the L1-tile kernel: the L3, L2, L1
+    /// and register tile loops in permutation order, with one
+    /// `run_microkernel` call per register tile.
+    fn per_register_tile_walk(conv: &TiledConv, input: &Tensor4, kernel: &Tensor4) -> Tensor4 {
+        fn walk(
+            conv: &TiledConv,
+            chain: &[TileSizes],
+            input: &Tensor4,
+            packed: &PackedKernel,
+            out: &mut Tensor4,
+            region: KernelRegion,
+        ) {
+            let Some((tile, rest)) = chain.split_first() else {
+                run_microkernel(conv.shape(), input, packed, out, &region);
+                return;
+            };
+            let mut subs = vec![region];
+            for &idx in conv.config().permutation.outer_to_inner() {
+                subs = subs
+                    .iter()
+                    .flat_map(|r| {
+                        tiles(r.get(idx), tile.get(idx)).map(move |range| {
+                            let mut sub = *r;
+                            sub.set(idx, range);
+                            sub
+                        })
+                    })
+                    .collect();
+            }
+            for sub in subs {
+                walk(conv, rest, input, packed, out, sub);
+            }
+        }
+        let shape = *conv.shape();
+        let packed = PackedKernel::pack(&shape, kernel, 8);
+        let mut out = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
+        let chain = [TilingLevel::L3, TilingLevel::L2, TilingLevel::L1, TilingLevel::Register]
+            .map(|level| *conv.config().level(level));
+        walk(conv, &chain, input, &packed, &mut out, KernelRegion::full(&shape));
+        out
+    }
+
+    #[test]
+    fn scalar_l1_kernel_is_bit_identical_to_the_per_register_tile_walk() {
+        let shapes = [
+            ConvShape::new(1, 7, 5, 3, 3, 9, 11, 1).unwrap(),
+            ConvShape::from_table1_dilated(6, 4, 17, 3, 2, 2),
+            ConvShape::new_general(2, 8, 8, 3, 3, 9, 9, 1, 1, 4).unwrap(),
+            ConvShape::depthwise(12, 12, 3, 1),
+        ];
+        for shape in shapes {
+            let (input, kernel, _) = reference(&shape, 1200);
+            for perm in ["nkhwcsr", "kcrsnhw", "nchwrsk"] {
+                // Partial tiles at every level; K tiles of 3 straddle the
+                // grouped shape's 2-channel groups.
+                let cfg = config(
+                    &shape,
+                    perm,
+                    [1, 3, 2, 2, 1, 2, 4],
+                    [1, 5, 3, 3, 3, 4, 5],
+                    [2, 7, 4, 3, 3, 6, 8],
+                    [2, 12, 8, 3, 3, 9, 11],
+                );
+                let conv = TiledConv::new(shape, cfg, 1).unwrap().with_backend(SimdBackend::Scalar);
+                let expected = per_register_tile_walk(&conv, &input, &kernel);
+                let (got, stats) =
+                    conv.run_packed_with_stats(&input, &PackedKernel::pack(&shape, &kernel, 8));
+                assert_eq!(got.as_slice(), expected.as_slice(), "{shape} perm {perm}");
+                assert_eq!(stats.vector_steps, 0);
+            }
+        }
+    }
+
     #[test]
     fn split_range_covers_everything() {
         for (extent, parts) in [(10, 3), (7, 7), (5, 8), (1, 4), (16, 4)] {
-            let chunks = split_range(extent, parts);
+            let chunks: Vec<_> = split_range(extent, parts).collect();
             let total: usize = chunks.iter().map(|(_, l)| l).sum();
             assert_eq!(total, extent);
             // Chunks are contiguous and ordered.
