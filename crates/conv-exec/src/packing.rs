@@ -121,35 +121,43 @@ impl KPanels {
         k_ranges: &[(usize, usize)],
     ) -> Self {
         let crs = shape.reduction_c() * shape.r * shape.s;
-        let vl = packed.vec_len();
-        let src = packed.as_slice();
+        let width = |nk: usize| nk.div_ceil(PANEL_LANES) * PANEL_LANES;
         let mut blocks = Vec::new();
         for &range in k_ranges {
             split_k(range, k_tiles, &mut blocks);
         }
-        let mut panels = KPanels { crs, data: Vec::new(), starts: vec![(0, 0); shape.k] };
-        let mut lane_src = Vec::new();
+        // Lay the distinct blocks out first, so the buffer is allocated
+        // (and zeroed) once.
+        let mut starts = vec![(0, 0); shape.k];
+        let mut laid = Vec::new();
+        let mut len = 0;
         for (k0, nk, _) in blocks.into_iter().flat_map(|(k0, nk)| group_blocks(shape, k0, nk)) {
-            match panels.starts[k0] {
+            match starts[k0] {
                 (_, 0) => {}
-                (_, len) => {
-                    assert_eq!(len, nk, "K blocks overlap at channel {k0}");
+                (_, seen) => {
+                    assert_eq!(seen, nk, "K blocks overlap at channel {k0}");
                     continue;
                 }
             }
-            let width = nk.div_ceil(PANEL_LANES) * PANEL_LANES;
-            let base = panels.data.len();
-            panels.starts[k0] = (base, nk);
-            panels.data.resize(base + crs * width, 0.0);
+            starts[k0] = (len, nk);
+            laid.push((k0, nk));
+            len += crs * width(nk);
+        }
+        let mut data = vec![0.0f32; len];
+        let (vl, src) = (packed.vec_len(), packed.as_slice());
+        let mut lane_src = Vec::new();
+        for (k0, nk) in laid {
+            let base = starts[k0].0;
             lane_src.clear();
             lane_src.extend((k0..k0 + nk).map(|k| (k / vl) * crs * vl + k % vl));
-            for (i, row) in panels.data[base..].chunks_exact_mut(width).enumerate() {
+            let rows = data[base..base + crs * width(nk)].chunks_exact_mut(width(nk));
+            for (i, row) in rows.enumerate() {
                 for (dst, &lane) in row.iter_mut().zip(&lane_src) {
                     *dst = src[lane + i * vl];
                 }
             }
         }
-        panels
+        KPanels { crs, data, starts }
     }
 
     /// The panel of the block `k0..k0 + nk`: `C·R·S` rows of
