@@ -171,7 +171,7 @@ impl KernelRegion {
     }
 
     /// The `(start, len)` range of one loop index.
-    pub fn get(&self, idx: LoopIndex) -> (usize, usize) {
+    pub(crate) fn get(&self, idx: LoopIndex) -> (usize, usize) {
         match idx {
             LoopIndex::N => self.n,
             LoopIndex::K => self.k,
@@ -184,7 +184,7 @@ impl KernelRegion {
     }
 
     /// Replace the range of one loop index.
-    pub fn set(&mut self, idx: LoopIndex, range: (usize, usize)) {
+    pub(crate) fn set(&mut self, idx: LoopIndex, range: (usize, usize)) {
         match idx {
             LoopIndex::N => self.n = range,
             LoopIndex::K => self.k = range,
@@ -222,9 +222,9 @@ const MAX_VECTORS: usize = 4;
 /// accumulators across the tile's whole reduction.
 ///
 /// For each register K block, the tile's pixels — register output block
-/// after register output block — are cut into accumulator-sized sub-blocks
-/// (at most [`ACC_VECTORS`] pixel × 8-lane vectors), each of which runs
-/// the whole reduction. Sub-blocks change which outputs share registers,
+/// after register output block — are cut into sub-blocks of at most eight
+/// 8-lane accumulator vectors (pixels × vectors), each of which runs the
+/// whole reduction. Sub-blocks change which outputs share registers,
 /// never any output's summation order. The kernel keeps the tile's
 /// reduction steps and pixels while consecutive tiles share them; make one
 /// per thread.

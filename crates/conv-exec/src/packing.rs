@@ -166,7 +166,7 @@ impl KPanels {
     /// # Panics
     ///
     /// Panics if no block of that extent was built.
-    pub fn panel(&self, k0: usize, nk: usize) -> &[f32] {
+    pub(crate) fn panel(&self, k0: usize, nk: usize) -> &[f32] {
         let (offset, len) = self.starts[k0];
         assert!(len == nk && nk > 0, "no K panel for channels {k0}..{}", k0 + nk);
         &self.data[offset..offset + self.crs * nk.div_ceil(PANEL_LANES) * PANEL_LANES]
