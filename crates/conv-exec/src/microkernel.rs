@@ -549,17 +549,29 @@ impl Block<'_> {
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn accumulate_avx2<const P: usize, const V: usize>(block: &Block<'_>, out: &mut [f32]) {
     use std::arch::x86_64::{
-        __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
+        __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setr_ps,
+        _mm256_setzero_ps, _mm256_storeu_ps,
     };
     let mut lanes = [[0.0f32; PANEL_LANES]; V];
     let mut acc: [[__m256; V]; P] = [[_mm256_setzero_ps(); V]; P];
     let mut pix = [0usize; P];
     for (p, (acc_p, pix_p)) in acc.iter_mut().zip(&mut pix).enumerate() {
-        block.load(p, lanes.as_flattened_mut(), out);
-        for (a, lane) in acc_p.iter_mut().zip(&lanes) {
-            // SAFETY: `lane` holds PANEL_LANES f32s.
-            *a = unsafe { _mm256_loadu_ps(lane.as_ptr()) };
+        // Assembled in registers: a vector load of freshly stored scalars
+        // would stall on store forwarding.
+        let base = block.pixels[p].1;
+        for (v, a) in acc_p.iter_mut().enumerate() {
+            let offs = &block.lanes[(v * PANEL_LANES).min(block.lanes.len())..];
+            let lane = |i: usize| offs.get(i).map_or(0.0, |&off| out[base + off]);
+            *a = _mm256_setr_ps(
+                lane(0),
+                lane(1),
+                lane(2),
+                lane(3),
+                lane(4),
+                lane(5),
+                lane(6),
+                lane(7),
+            );
         }
         *pix_p = block.pixels[p].0;
     }
