@@ -1,8 +1,7 @@
 //! Criterion bench: the L1-tile microkernel (Sec. 6), in isolation.
 
-use conv_exec::microkernel::KernelRegion;
 use conv_exec::{active_backend, KPanels, L1Kernel, PackedKernel, Tensor4};
-use conv_spec::{ConvShape, Permutation, TileConfig, TileSizes, TilingLevel};
+use conv_spec::{ConvShape, Permutation, TileConfig, TileRegion, TileSizes, TilingLevel};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 fn bench_microkernel(c: &mut Criterion) {
@@ -12,7 +11,7 @@ fn bench_microkernel(c: &mut Criterion) {
     let packed = PackedKernel::pack(&shape, &kernel, 8);
     // An L1 tile of 16 channels × 2 rows over the whole reduction, run as
     // register tiles like the paper's 2×(8-lane) × 6-pixel block.
-    let tile = KernelRegion { k: (0, 16), h: (0, 2), ..KernelRegion::full(&shape) };
+    let tile = TileRegion { k: (0, 16), h: (0, 2), ..TileRegion::full(&shape) };
     let mut config = TileConfig::untiled(&shape);
     config.permutation = Permutation::parse("nkhwcrs").unwrap();
     *config.level_mut(TilingLevel::Register) = TileSizes::from_array([1, 16, 64, 3, 3, 1, 6]);

@@ -2,50 +2,22 @@
 //!
 //! The element-level trace simulator ([`crate::trace`]) is exact but only
 //! practical for scaled-down problem sizes. This module walks the multi-level
-//! tiled loop nest at *tile* granularity: for each pair of consecutive tiles
-//! at a given level it computes the amount of new data that must be fetched,
-//! using the same "only the immediately preceding tile's data is still
-//! resident" reasoning as the paper's analytical model (Sec. 3), but evaluated
+//! tiled loop nest ([`TileConfig::walk`], the executor's own walk) at *tile*
+//! granularity: for each pair of consecutive tiles at a given level it
+//! computes the amount of new data that must be fetched, using the same
+//! "only the immediately preceding tile's data is still resident"
+//! reasoning as the paper's analytical model (Sec. 3), but evaluated
 //! numerically so partial tiles, strides and arbitrary permutations are
 //! handled exactly. It provides the "measured data movement" axis of the
 //! model-validation experiments for operators whose full traces would be too
 //! large to simulate element by element.
 
-use conv_spec::{ConvShape, LoopIndex, TileConfig, TileSizes, TilingLevel, ALL_INDICES};
+use std::ops::ControlFlow;
+
+use conv_spec::{ConvShape, TileConfig, TileRegion, TilingLevel};
 use serde::{Deserialize, Serialize};
 
 use crate::counters::DataMovement;
-
-/// A hyper-rectangular region of the seven-dimensional iteration space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileRegion {
-    /// Start offset per loop index (canonical order).
-    pub start: [usize; 7],
-    /// Size per loop index (canonical order).
-    pub size: [usize; 7],
-}
-
-impl TileRegion {
-    /// The full iteration space of a problem shape.
-    pub fn full(shape: &ConvShape) -> Self {
-        TileRegion { start: [0; 7], size: shape.extents() }
-    }
-
-    /// Start offset for a loop index.
-    pub fn start_of(&self, idx: LoopIndex) -> usize {
-        self.start[idx.canonical_position()]
-    }
-
-    /// Size for a loop index.
-    pub fn size_of(&self, idx: LoopIndex) -> usize {
-        self.size[idx.canonical_position()]
-    }
-
-    /// Number of iteration points in the region.
-    pub fn points(&self) -> usize {
-        self.size.iter().product()
-    }
-}
 
 /// A half-open 1-D interval `[start, start + len)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,26 +56,17 @@ impl Slice4 {
     }
 }
 
+/// The interval of one `(start, len)` range.
+fn interval((start, len): (usize, usize)) -> Interval {
+    Interval { start, len }
+}
+
 fn output_slice(region: &TileRegion) -> Slice4 {
-    Slice4 {
-        dims: [
-            Interval { start: region.start_of(LoopIndex::N), len: region.size_of(LoopIndex::N) },
-            Interval { start: region.start_of(LoopIndex::K), len: region.size_of(LoopIndex::K) },
-            Interval { start: region.start_of(LoopIndex::H), len: region.size_of(LoopIndex::H) },
-            Interval { start: region.start_of(LoopIndex::W), len: region.size_of(LoopIndex::W) },
-        ],
-    }
+    Slice4 { dims: [region.n, region.k, region.h, region.w].map(interval) }
 }
 
 fn kernel_slice(region: &TileRegion) -> Slice4 {
-    Slice4 {
-        dims: [
-            Interval { start: region.start_of(LoopIndex::K), len: region.size_of(LoopIndex::K) },
-            Interval { start: region.start_of(LoopIndex::C), len: region.size_of(LoopIndex::C) },
-            Interval { start: region.start_of(LoopIndex::R), len: region.size_of(LoopIndex::R) },
-            Interval { start: region.start_of(LoopIndex::S), len: region.size_of(LoopIndex::S) },
-        ],
-    }
+    Slice4 { dims: [region.k, region.c, region.r, region.s].map(interval) }
 }
 
 /// The input-tensor bounding box of a tile region: the spatial window is the
@@ -112,159 +75,21 @@ fn kernel_slice(region: &TileRegion) -> Slice4 {
 /// the K range straddles several groups — consistent with the analytical
 /// model's group-span over-approximation; exact for dense shapes).
 fn input_slice(region: &TileRegion, shape: &ConvShape) -> Slice4 {
-    let stride = shape.stride;
-    let dil = shape.dilation;
-    let h0 = region.start_of(LoopIndex::H);
-    let hs = region.size_of(LoopIndex::H);
-    let w0 = region.start_of(LoopIndex::W);
-    let ws = region.size_of(LoopIndex::W);
-    let r0 = region.start_of(LoopIndex::R);
-    let rs = region.size_of(LoopIndex::R);
-    let s0 = region.start_of(LoopIndex::S);
-    let ss = region.size_of(LoopIndex::S);
-    let row_start = h0 * stride + r0 * dil;
-    let row_len = (hs - 1) * stride + (rs - 1) * dil + 1;
-    let col_start = w0 * stride + s0 * dil;
-    let col_len = (ws - 1) * stride + (ss - 1) * dil + 1;
-    let c0 = region.start_of(LoopIndex::C);
-    let cs = region.size_of(LoopIndex::C);
-    let (ch_start, ch_len) = if shape.groups <= 1 {
+    let (stride, dil) = (shape.stride, shape.dilation);
+    let ((h0, hs), (w0, ws)) = (region.h, region.w);
+    let ((r0, rs), (s0, ss)) = (region.r, region.s);
+    let (c0, cs) = region.c;
+    let rows = (h0 * stride + r0 * dil, (hs - 1) * stride + (rs - 1) * dil + 1);
+    let cols = (w0 * stride + s0 * dil, (ws - 1) * stride + (ss - 1) * dil + 1);
+    let channels = if shape.groups <= 1 {
         (c0, cs)
     } else {
         let cpg = shape.reduction_c();
-        let k0 = region.start_of(LoopIndex::K);
-        let ks = region.size_of(LoopIndex::K);
-        let groups = shape.groups_spanned(k0, ks);
+        let groups = shape.groups_spanned(region.k.0, region.k.1);
         let (g_lo, g_hi) = (*groups.start(), *groups.end());
         (g_lo * cpg + c0, (g_hi - g_lo) * cpg + cs)
     };
-    Slice4 {
-        dims: [
-            Interval { start: region.start_of(LoopIndex::N), len: region.size_of(LoopIndex::N) },
-            Interval { start: ch_start, len: ch_len },
-            Interval { start: row_start, len: row_len },
-            Interval { start: col_start, len: col_len },
-        ],
-    }
-}
-
-/// Walks the sequence of tiles of a target level, in execution order, for a
-/// multi-level tiling configuration.
-pub struct TileWalker<'a> {
-    shape: &'a ConvShape,
-    config: &'a TileConfig,
-}
-
-impl<'a> TileWalker<'a> {
-    /// Create a walker for a shape and a (normalized) tiling configuration.
-    pub fn new(shape: &'a ConvShape, config: &'a TileConfig) -> Self {
-        TileWalker { shape, config }
-    }
-
-    /// The chain of tile-size vectors from the outermost level (L3) down to
-    /// and including `target`.
-    fn level_chain(&self, target: TilingLevel) -> Vec<TileSizes> {
-        let mut chain = Vec::new();
-        for lvl in [TilingLevel::L3, TilingLevel::L2, TilingLevel::L1, TilingLevel::Register] {
-            chain.push(*self.config.level(lvl));
-            if lvl == target {
-                break;
-            }
-        }
-        chain
-    }
-
-    /// Exact number of tiles of `target` level that the walk visits.
-    pub fn tile_count(&self, target: TilingLevel) -> u128 {
-        let chain = self.level_chain(target);
-        let mut total: u128 = 1;
-        for &idx in &ALL_INDICES {
-            total *= count_along_dim(self.shape.extent(idx), &chain, 0, idx) as u128;
-        }
-        total
-    }
-
-    /// Visit tiles of `target` level in execution order. The callback returns
-    /// `false` to stop early; the method returns the number of tiles visited.
-    pub fn walk(&self, target: TilingLevel, mut visit: impl FnMut(&TileRegion) -> bool) -> u64 {
-        let chain = self.level_chain(target);
-        let full = TileRegion::full(self.shape);
-        let mut visited = 0u64;
-        self.walk_levels(&chain, &full, &mut visit, &mut visited);
-        visited
-    }
-
-    fn walk_levels(
-        &self,
-        chain: &[TileSizes],
-        enclosing: &TileRegion,
-        visit: &mut impl FnMut(&TileRegion) -> bool,
-        visited: &mut u64,
-    ) -> bool {
-        if chain.is_empty() {
-            *visited += 1;
-            return visit(enclosing);
-        }
-        let mut current = *enclosing;
-        self.walk_dims(chain, enclosing, 0, &mut current, visit, visited)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn walk_dims(
-        &self,
-        chain: &[TileSizes],
-        enclosing: &TileRegion,
-        dim: usize,
-        current: &mut TileRegion,
-        visit: &mut impl FnMut(&TileRegion) -> bool,
-        visited: &mut u64,
-    ) -> bool {
-        if dim == 7 {
-            let sub = *current;
-            return self.walk_levels(&chain[1..], &sub, visit, visited);
-        }
-        let idx = self.config.permutation.outer_to_inner()[dim];
-        let pos = idx.canonical_position();
-        let tile = chain[0].get(idx).max(1);
-        let extent = enclosing.size[pos];
-        let base = enclosing.start[pos];
-        let mut off = 0;
-        while off < extent {
-            let sz = tile.min(extent - off);
-            current.start[pos] = base + off;
-            current.size[pos] = sz;
-            if !self.walk_dims(chain, enclosing, dim + 1, current, visit, visited) {
-                return false;
-            }
-            off += tile;
-        }
-        // Restore for the caller.
-        current.start[pos] = enclosing.start[pos];
-        current.size[pos] = enclosing.size[pos];
-        true
-    }
-}
-
-/// Number of tiles along a single dimension produced by a chain of nested
-/// tile sizes subdividing an extent (exact with partial tiles).
-fn count_along_dim(extent: usize, chain: &[TileSizes], level: usize, idx: LoopIndex) -> u64 {
-    if level == chain.len() {
-        return 1;
-    }
-    let tile = chain[level].get(idx).max(1);
-    let mut total = 0u64;
-    let mut off = 0;
-    // All full tiles have the same sub-count; only the trailing partial tile
-    // differs, so this loop runs at most twice worth of distinct work.
-    let full_tiles = extent / tile;
-    if full_tiles > 0 {
-        total += full_tiles as u64 * count_along_dim(tile, chain, level + 1, idx);
-        off = full_tiles * tile;
-    }
-    if off < extent {
-        total += count_along_dim(extent - off, chain, level + 1, idx);
-    }
-    total
+    Slice4 { dims: [region.n, channels, rows, cols].map(interval) }
 }
 
 /// Per-level traffic statistics produced by the tile-granularity simulator.
@@ -327,15 +152,15 @@ impl TileTrafficSimulator {
         level: TilingLevel,
     ) -> TileTrafficStats {
         let config = config.normalized(shape);
-        let walker = TileWalker::new(shape, &config);
-        let total = walker.tile_count(level);
+        let full = TileRegion::full(shape);
+        let total = config.tile_count(&full, level);
         let budget = self.max_tiles_per_level.max(1);
         let mut prev: Option<(Slice4, Slice4, Slice4)> = None;
         let mut input = 0f64;
         let mut kernel = 0f64;
         let mut output = 0f64;
-        let mut count = 0u64;
-        let visited = walker.walk(level, |region| {
+        let mut visited = 0u64;
+        let _ = config.walk(&full, level, |region| {
             let in_s = input_slice(region, shape);
             let ker_s = kernel_slice(region);
             let out_s = output_slice(region);
@@ -352,8 +177,12 @@ impl TileTrafficSimulator {
                 }
             }
             prev = Some((in_s, ker_s, out_s));
-            count += 1;
-            count < budget
+            visited += 1;
+            if visited < budget {
+                ControlFlow::Continue(())
+            } else {
+                ControlFlow::Break(())
+            }
         });
         let scale = if (visited as u128) < total && visited > 0 {
             total as f64 / visited as f64
@@ -456,14 +285,10 @@ impl TileTrafficSimulator {
     }
 }
 
-// Guard against the walker visiting an absurd number of tiles when the
-// caller forgot to budget: the simulator above always enforces
-// `max_tiles_per_level` by extrapolation when the exact walk would exceed it.
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conv_spec::Permutation;
+    use conv_spec::{Permutation, TileSizes};
 
     fn small_shape() -> ConvShape {
         ConvShape::new(1, 4, 3, 3, 3, 8, 8, 1).unwrap()
@@ -478,36 +303,6 @@ mod tests {
             TileSizes::ones(),
         )
         .normalized(shape)
-    }
-
-    #[test]
-    fn tile_count_exact_with_partial_tiles() {
-        let shape = small_shape();
-        let tiles = TileSizes::from_array([1, 3, 3, 3, 3, 5, 8]);
-        let cfg = single_level_config(&shape, tiles, "nkcrshw");
-        let walker = TileWalker::new(&shape, &cfg);
-        // k: ceil(4/3)=2, c:1, h: ceil(8/5)=2, others 1 → 4 tiles at L3.
-        assert_eq!(walker.tile_count(TilingLevel::L3), 4);
-        let mut seen = 0;
-        walker.walk(TilingLevel::L3, |_| {
-            seen += 1;
-            true
-        });
-        assert_eq!(seen, 4);
-    }
-
-    #[test]
-    fn walk_regions_partition_iteration_space() {
-        let shape = small_shape();
-        let tiles = TileSizes::from_array([1, 3, 2, 2, 3, 5, 3]);
-        let cfg = single_level_config(&shape, tiles, "kcrsnhw");
-        let walker = TileWalker::new(&shape, &cfg);
-        let mut total_points = 0usize;
-        walker.walk(TilingLevel::L3, |r| {
-            total_points += r.points();
-            true
-        });
-        assert_eq!(total_points, shape.macs());
     }
 
     #[test]
@@ -614,10 +409,7 @@ mod tests {
         let full = TileRegion::full(&shape);
         assert_eq!(input_slice(&full, &shape).dims[1].len, 8);
         // A region covering k = 2..4 (group 1 only) → channels 2..4.
-        let mut sub = full;
-        sub.start[LoopIndex::K.canonical_position()] = 2;
-        sub.size[LoopIndex::K.canonical_position()] = 2;
-        let s = input_slice(&sub, &shape);
+        let s = input_slice(&TileRegion { k: (2, 2), ..full }, &shape);
         assert_eq!((s.dims[1].start, s.dims[1].len), (2, 2));
     }
 

@@ -14,11 +14,12 @@
 //! the validation experiments; full-size operators use the tile-granularity
 //! simulator in [`crate::tilesim`].
 
-use conv_spec::{layout::AddressMap, ConvShape, LoopIndex, TileConfig, TilingLevel};
+use std::ops::ControlFlow;
+
+use conv_spec::{layout::AddressMap, ConvShape, TileConfig, TileRegion, TilingLevel};
 
 use crate::counters::DataMovement;
 use crate::hierarchy::{CacheKind, MemoryHierarchy};
-use crate::tilesim::{TileRegion, TileWalker};
 
 /// Element-granularity simulator for one conv2d operator.
 pub struct TraceSimulator {
@@ -47,21 +48,15 @@ impl TraceSimulator {
     /// (one load and one store each).
     pub fn run(&mut self, config: &TileConfig) -> DataMovement {
         let config = config.normalized(&self.shape);
-        let walker = TileWalker::new(&self.shape, &config);
         let shape = self.shape;
-        // Collect regions first to avoid borrowing `self` inside the closure.
-        let mut regions: Vec<TileRegion> = Vec::new();
-        walker.walk(TilingLevel::Register, |r| {
-            regions.push(*r);
-            true
-        });
         // Scratch buffers for the per-tile input row/column sets, reused
         // across the (potentially millions of) register tiles.
         let mut rows = Vec::new();
         let mut cols = Vec::new();
-        for region in &regions {
+        let _ = config.walk(&TileRegion::full(&shape), TilingLevel::Register, |region| {
             self.simulate_register_tile(region, &shape, &mut rows, &mut cols);
-        }
+            ControlFlow::Continue(())
+        });
         self.hierarchy.data_movement(self.shape.flops() as f64)
     }
 
@@ -72,20 +67,15 @@ impl TraceSimulator {
         rows: &mut Vec<usize>,
         cols: &mut Vec<usize>,
     ) {
-        let n0 = region.start_of(LoopIndex::N);
-        let nn = region.size_of(LoopIndex::N);
-        let k0 = region.start_of(LoopIndex::K);
-        let nk = region.size_of(LoopIndex::K);
-        let c0 = region.start_of(LoopIndex::C);
-        let nc = region.size_of(LoopIndex::C);
-        let r0 = region.start_of(LoopIndex::R);
-        let nr = region.size_of(LoopIndex::R);
-        let s0 = region.start_of(LoopIndex::S);
-        let ns = region.size_of(LoopIndex::S);
-        let h0 = region.start_of(LoopIndex::H);
-        let nh = region.size_of(LoopIndex::H);
-        let w0 = region.start_of(LoopIndex::W);
-        let nw = region.size_of(LoopIndex::W);
+        let TileRegion {
+            n: (n0, nn),
+            k: (k0, nk),
+            c: (c0, nc),
+            r: (r0, nr),
+            s: (s0, ns),
+            h: (h0, nh),
+            w: (w0, nw),
+        } = *region;
 
         let mut reg_loads = 0u64;
         let mut reg_stores = 0u64;

@@ -15,7 +15,8 @@
 
 use std::sync::OnceLock;
 
-use conv_spec::{ConvShape, LoopIndex, TileConfig, TileSizes, TilingLevel};
+use conv_spec::tiling::tiles;
+use conv_spec::{ConvShape, LoopIndex, TileConfig, TileRegion, TileSizes, TilingLevel};
 
 use crate::packing::{group_blocks, KPanels, PANEL_LANES};
 use crate::tensor::Tensor4;
@@ -122,89 +123,6 @@ pub fn detected_backend() -> SimdBackend {
         }
     }
     SimdBackend::Scalar
-}
-
-/// A register-tile region: for each loop index, the start offset and length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelRegion {
-    /// Batch range `(start, len)`.
-    pub n: (usize, usize),
-    /// Output-channel range.
-    pub k: (usize, usize),
-    /// Input-channel range, group-relative: offsets are within
-    /// `0..shape.reduction_c()` (for dense shapes that is the full channel
-    /// range).
-    pub c: (usize, usize),
-    /// Kernel-row range.
-    pub r: (usize, usize),
-    /// Kernel-column range.
-    pub s: (usize, usize),
-    /// Output-row range.
-    pub h: (usize, usize),
-    /// Output-column range.
-    pub w: (usize, usize),
-}
-
-impl KernelRegion {
-    /// The full iteration space of a shape (the C range is the per-group
-    /// reduction extent).
-    pub fn full(shape: &ConvShape) -> Self {
-        KernelRegion {
-            n: (0, shape.n),
-            k: (0, shape.k),
-            c: (0, shape.reduction_c()),
-            r: (0, shape.r),
-            s: (0, shape.s),
-            h: (0, shape.h),
-            w: (0, shape.w),
-        }
-    }
-
-    /// Number of output elements the region covers.
-    pub fn output_points(&self) -> usize {
-        self.n.1 * self.k.1 * self.h.1 * self.w.1
-    }
-
-    /// Number of multiply–accumulate operations in the region.
-    pub fn macs(&self) -> usize {
-        self.output_points() * self.c.1 * self.r.1 * self.s.1
-    }
-
-    /// The `(start, len)` range of one loop index.
-    pub(crate) fn get(&self, idx: LoopIndex) -> (usize, usize) {
-        match idx {
-            LoopIndex::N => self.n,
-            LoopIndex::K => self.k,
-            LoopIndex::C => self.c,
-            LoopIndex::R => self.r,
-            LoopIndex::S => self.s,
-            LoopIndex::H => self.h,
-            LoopIndex::W => self.w,
-        }
-    }
-
-    /// Replace the range of one loop index.
-    pub(crate) fn set(&mut self, idx: LoopIndex, range: (usize, usize)) {
-        match idx {
-            LoopIndex::N => self.n = range,
-            LoopIndex::K => self.k = range,
-            LoopIndex::C => self.c = range,
-            LoopIndex::R => self.r = range,
-            LoopIndex::S => self.s = range,
-            LoopIndex::H => self.h = range,
-            LoopIndex::W => self.w = range,
-        }
-    }
-}
-
-/// The consecutive tiles of size `t` covering `(start, len)`, the last one
-/// partial.
-pub(crate) fn tiles(
-    (start, len): (usize, usize),
-    t: usize,
-) -> impl Iterator<Item = (usize, usize)> {
-    let t = t.max(1);
-    (0..len).step_by(t).map(move |off| (start + off, t.min(len - off)))
 }
 
 /// Accumulator vectors one microkernel call holds: enough independent FMA
@@ -316,7 +234,7 @@ impl<'a, I: InputView, O: OutputView> L1Kernel<'a, I, O> {
     /// Accumulate the L1 tile `tile` into the output. The tile's `c` range
     /// is group-relative (`0..shape.reduction_c()`); K blocks that straddle
     /// a group edge are split there.
-    pub fn run(&mut self, tile: &KernelRegion) {
+    pub fn run(&mut self, tile: &TileRegion) {
         if tile.macs() == 0 {
             return;
         }
@@ -342,7 +260,7 @@ impl<'a, I: InputView, O: OutputView> L1Kernel<'a, I, O> {
 
     /// The tile's `(c, r, s)` steps: register sub-tiles in permutation
     /// order, `c → r → s` inside each.
-    fn fill_reduction(&mut self, tile: &KernelRegion) {
+    fn fill_reduction(&mut self, tile: &TileRegion) {
         self.crs_key = Some([tile.c, tile.r, tile.s]);
         self.steps_key = None;
         self.crs.clear();
@@ -383,7 +301,7 @@ impl<'a, I: InputView, O: OutputView> L1Kernel<'a, I, O> {
     }
 
     /// Offsets of each pixel of the tile, register output block by block.
-    fn fill_pixels(&mut self, tile: &KernelRegion) {
+    fn fill_pixels(&mut self, tile: &TileRegion) {
         self.pixels_key = Some([tile.n, tile.h, tile.w]);
         let (input, output) = (self.input, &*self.output);
         let ((_, in_col), (_, out_col)) = (input.strides(), output.strides());
@@ -612,7 +530,7 @@ pub(crate) fn run_microkernel(
     input: &Tensor4,
     kernel: &crate::packing::PackedKernel,
     output: &mut Tensor4,
-    region: &KernelRegion,
+    region: &TileRegion,
 ) {
     let (stride, dil) = (shape.stride, shape.dilation);
     let range = |(start, len): (usize, usize)| start..start + len;
@@ -665,7 +583,7 @@ mod tests {
         input: &Tensor4,
         packed: &PackedKernel,
         out: &mut Tensor4,
-        tile: &KernelRegion,
+        tile: &TileRegion,
         reg: [usize; 7],
         backend: SimdBackend,
     ) -> u64 {
@@ -681,7 +599,7 @@ mod tests {
     fn full_tile(shape: &ConvShape, reg: [usize; 7]) -> Tensor4 {
         let (input, _kernel, packed) = setup(shape);
         let mut out = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
-        let full = KernelRegion::full(shape);
+        let full = TileRegion::full(shape);
         run_tile(shape, &input, &packed, &mut out, &full, reg, active_backend());
         out
     }
@@ -706,11 +624,11 @@ mod tests {
         for k0 in (0..shape.k).step_by(2) {
             for c0 in (0..shape.c).step_by(2) {
                 for w0 in (0..shape.w).step_by(3) {
-                    let tile = KernelRegion {
+                    let tile = TileRegion {
                         k: (k0, 2),
                         c: (c0, 2),
                         w: (w0, 3),
-                        ..KernelRegion::full(&shape)
+                        ..TileRegion::full(&shape)
                     };
                     let reg = [1, 1, 1, 2, 3, 2, 2];
                     run_tile(&shape, &input, &packed, &mut out, &tile, reg, active_backend());
@@ -743,7 +661,7 @@ mod tests {
         // the full reduction, so the scalar result is the reference's bits.
         let shape = ConvShape::new(1, 40, 2, 3, 3, 12, 12, 1).unwrap();
         let (input, _kernel, packed) = setup(&shape);
-        let full = KernelRegion::full(&shape);
+        let full = TileRegion::full(&shape);
         let mut expected = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
         run_microkernel(&shape, &input, &packed, &mut expected, &full);
         let mut out = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
@@ -757,7 +675,7 @@ mod tests {
         let shape = ConvShape::new(1, 2, 2, 1, 1, 2, 2, 1).unwrap();
         let (input, _kernel, packed) = setup(&shape);
         let mut out = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
-        let mut region = KernelRegion::full(&shape);
+        let mut region = TileRegion::full(&shape);
         region.c = (0, 0);
         let steps = run_tile(&shape, &input, &packed, &mut out, &region, [1; 7], active_backend());
         assert!(out.as_slice().iter().all(|&v| v == 0.0));
@@ -784,7 +702,7 @@ mod tests {
         for &k in k_blocks {
             let mut reg = reg;
             reg[1] = k.1;
-            let tile = KernelRegion { k, ..KernelRegion::full(shape) };
+            let tile = TileRegion { k, ..TileRegion::full(shape) };
             let scalar = SimdBackend::Scalar;
             run_tile(shape, &input, &packed, &mut scalar_out, &tile, reg, scalar);
             let avx2 = SimdBackend::Avx2Fma;
@@ -854,18 +772,5 @@ mod tests {
         assert!(matches!(active_backend(), SimdBackend::Scalar | SimdBackend::Avx2Fma));
         // Cached value is stable.
         assert_eq!(active_backend(), active_backend());
-    }
-
-    #[test]
-    fn region_accessors() {
-        let shape = ConvShape::new(2, 3, 4, 1, 1, 5, 6, 1).unwrap();
-        let mut r = KernelRegion::full(&shape);
-        assert_eq!(r.output_points(), 2 * 3 * 5 * 6);
-        assert_eq!(r.macs(), 2 * 3 * 5 * 6 * 4);
-        for idx in conv_spec::ALL_INDICES {
-            r.set(idx, (1, 2));
-            assert_eq!(r.get(idx), (1, 2));
-        }
-        assert_eq!(tiles((3, 7), 3).collect::<Vec<_>>(), vec![(3, 3), (6, 3), (9, 1)]);
     }
 }

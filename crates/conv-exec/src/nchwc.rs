@@ -11,9 +11,9 @@
 //! executor, and the packing steps it performs are exactly the one-time moves
 //! the model's `move_cost` module charges for.
 
-use conv_spec::{ConvShape, LayoutConfig, TensorLayout, TileConfig};
+use conv_spec::{ConvShape, LayoutConfig, TensorLayout, TileConfig, TileRegion};
 
-use crate::microkernel::{InputView, KernelRegion, OutputView};
+use crate::microkernel::{InputView, OutputView};
 use crate::packing::PackedKernel;
 use crate::tensor::Tensor4;
 use crate::tiled::{ExecStats, TiledConv};
@@ -189,7 +189,7 @@ impl NchwcConv {
         let c_block = self.c_block();
         let blocked_in = BlockedTensor::from_nchw(input, c_block);
         let packed = PackedKernel::pack(&shape, kernel, vec_len_of(&self.layout));
-        let full = KernelRegion::full(&shape);
+        let full = TileRegion::full(&shape);
         let panels = self.inner.panels(&packed, [&full]);
         let mut blocked_out = BlockedTensor::zeros((shape.n, shape.k, shape.h, shape.w), c_block);
         let vector_steps = self.inner.execute_region(&blocked_in, &panels, &mut blocked_out, &full);

@@ -8,7 +8,7 @@
 //! paper includes the packing time in all measurements; the measurement
 //! helpers in [`crate::measure`] do the same.
 
-use conv_spec::{layout::PackedKernelLayout, ConvShape};
+use conv_spec::{layout::PackedKernelLayout, tiling::tiles, ConvShape};
 
 use crate::tensor::Tensor4;
 
@@ -173,16 +173,15 @@ impl KPanels {
     }
 }
 
-/// Split `(start, len)` by each tile size in turn, as the tile walk does,
+/// Split `range` by each tile size in turn, as the tile walk does,
 /// appending the innermost chunks.
-fn split_k((start, len): (usize, usize), k_tiles: &[usize], out: &mut Vec<(usize, usize)>) {
+fn split_k(range: (usize, usize), k_tiles: &[usize], out: &mut Vec<(usize, usize)>) {
     let Some((&t, rest)) = k_tiles.split_first() else {
-        out.push((start, len));
+        out.push(range);
         return;
     };
-    let t = t.max(1);
-    for off in (0..len).step_by(t) {
-        split_k((start + off, t.min(len - off)), rest, out);
+    for tile in tiles(range, t) {
+        split_k(tile, rest, out);
     }
 }
 

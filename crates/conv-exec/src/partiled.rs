@@ -21,9 +21,8 @@
 //! randomized shape × stride × dilation × groups × thread-count grid,
 //! including thread counts exceeding the partitioned extent.
 
-use conv_spec::{ConvShape, ParallelAxis, TileConfig};
+use conv_spec::{ConvShape, ParallelAxis, TileConfig, TileRegion};
 
-use crate::microkernel::KernelRegion;
 use crate::packing::PackedKernel;
 use crate::tensor::Tensor4;
 use crate::tiled::{split_range, TiledConv};
@@ -120,9 +119,9 @@ impl ParTiledConv {
     /// into `threads` contiguous chunks. Either way workers are capped at
     /// the number of slices, so `threads` larger than the output never
     /// produces empty regions.
-    fn partition(&self) -> Vec<Vec<KernelRegion>> {
+    fn partition(&self) -> Vec<Vec<TileRegion>> {
         let shape = self.shape();
-        let full = KernelRegion::full(shape);
+        let full = TileRegion::full(shape);
         if self.threads <= 1 {
             return vec![vec![full]];
         }
@@ -136,9 +135,9 @@ impl ParTiledConv {
             return slices;
         }
         match self.axis {
-            ParallelAxis::OutputChannels => split_range(shape.k, self.threads)
-                .map(|k| vec![KernelRegion { k, ..full }])
-                .collect(),
+            ParallelAxis::OutputChannels => {
+                split_range(shape.k, self.threads).map(|k| vec![TileRegion { k, ..full }]).collect()
+            }
             ParallelAxis::OutputRows => {
                 // Flatten the n·h output rows, split them contiguously, and
                 // rebuild each chunk as per-batch rectangles (a chunk may
@@ -153,7 +152,7 @@ impl ParTiledConv {
                             let n = row / shape.h;
                             let h_lo = row % shape.h;
                             let h_len = (shape.h - h_lo).min(end - row);
-                            regions.push(KernelRegion { n: (n, 1), h: (h_lo, h_len), ..full });
+                            regions.push(TileRegion { n: (n, 1), h: (h_lo, h_len), ..full });
                             row += h_len;
                         }
                         regions
@@ -167,7 +166,7 @@ impl ParTiledConv {
     /// each non-reduction dimension with factor `f > 1` is split into `f`
     /// contiguous chunks, and every combination of chunks is one region.
     /// The regions tile the full output space disjointly.
-    fn factor_grid(&self, full: &KernelRegion) -> Vec<KernelRegion> {
+    fn factor_grid(&self, full: &TileRegion) -> Vec<TileRegion> {
         use conv_spec::LoopIndex;
         let shape = self.shape();
         let parallel = &self.config().parallel;
@@ -277,7 +276,7 @@ mod tests {
         }
         // The grid really is the 2×2 cross product of the factors.
         let par = ParTiledConv::new(shape, cfg, 4).unwrap();
-        let grid = par.factor_grid(&KernelRegion::full(&shape));
+        let grid = par.factor_grid(&TileRegion::full(&shape));
         assert_eq!(grid.len(), 4);
         let mut cells: Vec<_> = grid.iter().map(|r| (r.k, r.h)).collect();
         cells.sort();

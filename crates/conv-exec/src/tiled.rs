@@ -1,20 +1,20 @@
 //! Multi-level tiled conv2d executor.
 //!
 //! `TiledConv` realizes the loop structure the paper's code generator emits:
-//! L3-, L2- and L1-level tile loops (in the configuration's permutation
-//! order) around the register-tiled microkernel, which runs each L1 tile
-//! whole ([`L1Kernel`]). The kernel is packed up front and re-laid once per
-//! run into per-register-K-block panels ([`KPanels`]), and the outer loops
-//! are optionally parallelized across threads along the output-channel (and
-//! batch) dimension so that threads never write the same output element
-//! (Sec. 7 restricts parallelism to non-reduction dimensions for the same
-//! reason).
+//! L3-, L2- and L1-level tile loops (the configuration's own tile walk,
+//! [`TileConfig::walk`]) around the register-tiled microkernel, which runs
+//! each L1 tile whole ([`L1Kernel`]). The kernel is packed up front and
+//! re-laid once per run into per-register-K-block panels ([`KPanels`]), and
+//! the outer loops are optionally parallelized across threads along the
+//! output-channel (and batch) dimension so that threads never write the same
+//! output element (Sec. 7 restricts parallelism to non-reduction dimensions
+//! for the same reason).
 
-use conv_spec::{ConvShape, LoopIndex, TileConfig, TileSizes, TilingLevel};
+use std::ops::ControlFlow;
 
-use crate::microkernel::{
-    active_backend, tiles, InputView, KernelRegion, L1Kernel, OutputView, SimdBackend,
-};
+use conv_spec::{ConvShape, LoopIndex, TileConfig, TileRegion, TilingLevel};
+
+use crate::microkernel::{active_backend, InputView, L1Kernel, OutputView, SimdBackend};
 use crate::packing::{KPanels, PackedKernel};
 use crate::tensor::Tensor4;
 use crate::ExecError;
@@ -101,16 +101,16 @@ impl TiledConv {
         input: &Tensor4,
         packed: &PackedKernel,
     ) -> (Tensor4, ExecStats) {
-        let full = KernelRegion::full(&self.shape);
+        let full = TileRegion::full(&self.shape);
         let threads = self.effective_threads();
         // Threads own disjoint output slices: contiguous K chunks, or N
         // chunks for batched problems.
-        let slices: Vec<Vec<KernelRegion>> = if threads <= 1 {
+        let slices: Vec<Vec<TileRegion>> = if threads <= 1 {
             vec![vec![full]]
         } else if self.shape.n > 1 {
-            split_range(self.shape.n, threads).map(|n| vec![KernelRegion { n, ..full }]).collect()
+            split_range(self.shape.n, threads).map(|n| vec![TileRegion { n, ..full }]).collect()
         } else {
-            split_range(self.shape.k, threads).map(|k| vec![KernelRegion { k, ..full }]).collect()
+            split_range(self.shape.k, threads).map(|k| vec![TileRegion { k, ..full }]).collect()
         };
         self.run_slices(input, packed, &slices)
     }
@@ -122,7 +122,7 @@ impl TiledConv {
         &self,
         input: &Tensor4,
         packed: &PackedKernel,
-        slices: &[Vec<KernelRegion>],
+        slices: &[Vec<TileRegion>],
     ) -> (Tensor4, ExecStats) {
         let shape = self.shape;
         let panels = self.panels(packed, slices.iter().flatten());
@@ -171,7 +171,7 @@ impl TiledConv {
     pub(crate) fn panels<'r>(
         &self,
         packed: &PackedKernel,
-        regions: impl IntoIterator<Item = &'r KernelRegion>,
+        regions: impl IntoIterator<Item = &'r TileRegion>,
     ) -> KPanels {
         let mut k_ranges: Vec<(usize, usize)> = regions.into_iter().map(|r| r.k).collect();
         k_ranges.sort_unstable();
@@ -193,60 +193,20 @@ impl TiledConv {
         input: &I,
         panels: &KPanels,
         output: &mut O,
-        base: &KernelRegion,
+        base: &TileRegion,
     ) -> u64 {
         let backend = self.backend.unwrap_or_else(active_backend);
         let mut kernel = L1Kernel::new(&self.shape, &self.config, panels, backend, input, output);
-        // Levels from outermost to innermost: L3, L2, L1; the kernel runs
-        // each L1 tile's register tiles.
-        let chain = [
-            *self.config.level(TilingLevel::L3),
-            *self.config.level(TilingLevel::L2),
-            *self.config.level(TilingLevel::L1),
-        ];
-        self.walk_level(&chain, &mut kernel, base);
+        let _ = self.config.walk(base, TilingLevel::L1, |tile| {
+            kernel.run(tile);
+            ControlFlow::Continue(())
+        });
         kernel.vector_steps()
-    }
-
-    fn walk_level<I: InputView, O: OutputView>(
-        &self,
-        chain: &[TileSizes],
-        kernel: &mut L1Kernel<'_, I, O>,
-        region: &KernelRegion,
-    ) {
-        match chain.split_first() {
-            None => kernel.run(region),
-            Some((tile, rest)) => {
-                self.walk_dims(tile, rest, 0, kernel, region, &mut region.clone())
-            }
-        }
-    }
-
-    fn walk_dims<I: InputView, O: OutputView>(
-        &self,
-        tile: &TileSizes,
-        rest: &[TileSizes],
-        dim: usize,
-        kernel: &mut L1Kernel<'_, I, O>,
-        enclosing: &KernelRegion,
-        current: &mut KernelRegion,
-    ) {
-        if dim == 7 {
-            let sub = *current;
-            self.walk_level(rest, kernel, &sub);
-            return;
-        }
-        let idx = self.config.permutation.outer_to_inner()[dim];
-        for range in tiles(enclosing.get(idx), tile.get(idx)) {
-            current.set(idx, range);
-            self.walk_dims(tile, rest, dim + 1, kernel, enclosing, current);
-        }
-        current.set(idx, enclosing.get(idx));
     }
 }
 
 /// Copy the output points a region owns from `partial` into `output`.
-fn copy_region_output(partial: &Tensor4, output: &mut Tensor4, region: &KernelRegion) {
+fn copy_region_output(partial: &Tensor4, output: &mut Tensor4, region: &TileRegion) {
     for n in region.n.0..region.n.0 + region.n.1 {
         for k in region.k.0..region.k.0 + region.k.1 {
             for h in region.h.0..region.h.0 + region.h.1 {
@@ -274,7 +234,8 @@ mod tests {
     use super::*;
     use crate::microkernel::run_microkernel;
     use crate::naive::conv2d_naive;
-    use conv_spec::Permutation;
+    use conv_spec::tiling::tiles;
+    use conv_spec::{Permutation, TileSizes};
 
     fn reference(shape: &ConvShape, seed: u64) -> (Tensor4, Tensor4, Tensor4) {
         let (ni, ci, hi, wi) = shape.input_dims();
@@ -514,7 +475,7 @@ mod tests {
             input: &Tensor4,
             packed: &PackedKernel,
             out: &mut Tensor4,
-            region: KernelRegion,
+            region: TileRegion,
         ) {
             let Some((tile, rest)) = chain.split_first() else {
                 run_microkernel(conv.shape(), input, packed, out, &region);
@@ -542,7 +503,7 @@ mod tests {
         let mut out = Tensor4::zeros(shape.n, shape.k, shape.h, shape.w);
         let chain = [TilingLevel::L3, TilingLevel::L2, TilingLevel::L1, TilingLevel::Register]
             .map(|level| *conv.config().level(level));
-        walk(conv, &chain, input, &packed, &mut out, KernelRegion::full(&shape));
+        walk(conv, &chain, input, &packed, &mut out, TileRegion::full(&shape));
         out
     }
 

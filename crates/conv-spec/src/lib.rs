@@ -23,7 +23,9 @@
 //! * [`LoopIndex`] and [`Permutation`] — the loop-index algebra used by the
 //!   analytical model and the pruning analysis,
 //! * [`TileSizes`], [`TileConfig`] and [`TilingLevel`] — tile-size vectors for
-//!   single- and multi-level tiling, with shape-aware footprints,
+//!   single- and multi-level tiling, with shape-aware footprints, and the one
+//!   tile walk ([`TileConfig::walk`] over [`TileRegion`]s, partitioned by
+//!   [`tiling::tiles`]) that the executors and simulators share,
 //! * [`benchmarks`] — the 32 conv2d operators of Table 1 (Yolo-9000,
 //!   ResNet-18, MobileNet — the latter as true depthwise shapes), plus
 //!   MobileNetV2 depthwise and DeepLab-style dilated suites,
@@ -79,7 +81,7 @@ pub use layout::{KernelLayout, LayoutConfig, PackedKernelLayout, TensorKind, Ten
 pub use machine::{CacheLevel, MachineModel, MemoryLevel};
 pub use shape::{ConvShape, LoopIndex, Permutation, ALL_INDICES};
 pub use spec::{DType, EwOp, PoolKind, Spec};
-pub use tiling::{ParallelAxis, TileConfig, TileSizes, TilingLevel, NUM_TILING_LEVELS};
+pub use tiling::{ParallelAxis, TileConfig, TileRegion, TileSizes, TilingLevel, NUM_TILING_LEVELS};
 
 /// Crate-wide error type.
 #[derive(Debug, Clone, PartialEq, Eq)]

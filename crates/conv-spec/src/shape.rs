@@ -181,8 +181,9 @@ impl ConvShape {
     /// # Errors
     ///
     /// Returns [`SpecError::InvalidShape`] if any extent, the stride, the
-    /// dilation, or the group count is zero, or if `groups` does not divide
-    /// both `c` and `k`.
+    /// dilation, or the group count is zero, if `groups` does not divide
+    /// both `c` and `k`, or if the FLOP count or a tensor's element count
+    /// (input extents included) overflows `usize`.
     #[allow(clippy::too_many_arguments)]
     pub fn new_general(
         n: usize,
@@ -216,7 +217,34 @@ impl ConvShape {
                 "groups {groups} must divide both c {c} and k {k}"
             )));
         }
+        if !shape.sizes_fit_usize() {
+            return Err(SpecError::InvalidShape(format!(
+                "{shape}: FLOP or element counts overflow usize"
+            )));
+        }
         Ok(shape)
+    }
+
+    /// Whether [`Self::flops`] and every tensor's element count, input
+    /// extents included, are representable. Extents must be non-zero.
+    fn sizes_fit_usize(&self) -> bool {
+        let product = |xs: &[usize]| xs.iter().try_fold(1usize, |acc, &x| acc.checked_mul(x));
+        // `input_h` / `input_w`: `(out - 1)·stride + (taps - 1)·dilation + 1`.
+        let span = |out: usize, taps: usize| {
+            (out - 1)
+                .checked_mul(self.stride)?
+                .checked_add((taps - 1).checked_mul(self.dilation)?)?
+                .checked_add(1)
+        };
+        let counts = || {
+            let (in_h, in_w) = (span(self.h, self.r)?, span(self.w, self.s)?);
+            let rc = self.reduction_c();
+            product(&[2, self.n, self.k, rc, self.r, self.s, self.h, self.w])?;
+            product(&[self.n, self.c, in_h, in_w])?;
+            product(&[self.k, rc, self.r, self.s])?;
+            product(&[self.n, self.k, self.h, self.w])
+        };
+        counts().is_some()
     }
 
     /// Builder-style copy with a different dilation.
@@ -759,6 +787,21 @@ mod tests {
         let r1 = ConvShape::from_table1(64, 3, 224, 7, 2);
         assert_eq!(r1.h, (224 - 7) / 2 + 1);
         assert_eq!(r1.input_h(), (r1.h - 1) * 2 + 7);
+    }
+
+    #[test]
+    fn shapes_whose_counts_overflow_usize_are_rejected() {
+        let huge = 1usize << 32;
+        let text = format!(r#"{{"n":1,"k":{huge},"c":{huge},"r":1,"s":1,"h":1,"w":1,"stride":1}}"#);
+        let err = serde_json::from_str::<ConvShape>(&text).unwrap_err();
+        assert!(err.to_string().contains("overflow"), "{err}");
+        // The input extents overflow through the dilation or the stride.
+        assert!(ConvShape::new_general(1, 1, 1, 2, 1, 1, 1, 1, usize::MAX, 1).is_err());
+        assert!(ConvShape::new(1, 1, 1, 1, 1, 2, 1, usize::MAX).is_err());
+        // At the edge: 2·K·C just past usize::MAX, and half of that.
+        let c = usize::MAX / 4 + 1;
+        assert!(ConvShape::new(1, 2, c, 1, 1, 1, 1, 1).is_err());
+        assert!(ConvShape::new(1, 1, c, 1, 1, 1, 1, 1).is_ok());
     }
 
     #[test]

@@ -172,54 +172,63 @@ impl Spec {
         Spec::Matmul { m, n, k, dtype: DType::F32 }
     }
 
-    /// Validate the extents (every extent non-zero, stride non-zero).
+    /// Validate the extents: every extent and the stride non-zero, and the
+    /// embedded conv nest's and the elementwise operand counts within
+    /// `usize`.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::InvalidShape`] naming the zero field.
+    /// Returns [`SpecError::InvalidShape`] naming the zero field or the
+    /// overflowing count.
     pub fn validate(&self) -> Result<(), SpecError> {
         let bad = |what: &str| Err(SpecError::InvalidShape(format!("{what} must be non-zero")));
         match *self {
-            Spec::Conv(_) => Ok(()), // ConvShape constructors already validate.
+            Spec::Conv(_) => {} // ConvShape constructors already validate.
             Spec::Matmul { m, n, k, .. } => {
                 if m == 0 || n == 0 || k == 0 {
-                    bad("matmul m/n/k")
-                } else {
-                    Ok(())
+                    return bad("matmul m/n/k");
                 }
             }
             Spec::Pool { n, channels, h, w, window, stride, .. } => {
                 if n == 0 || channels == 0 || h == 0 || w == 0 || window == 0 || stride == 0 {
-                    bad("pool n/channels/h/w/window/stride")
-                } else {
-                    Ok(())
+                    return bad("pool n/channels/h/w/window/stride");
                 }
             }
-            Spec::Elementwise { len, .. } => {
+            Spec::Elementwise { op, len, .. } => {
                 if len == 0 {
-                    bad("elementwise len")
-                } else {
-                    Ok(())
+                    return bad("elementwise len");
+                }
+                if op.arity().checked_mul(len).is_none() {
+                    return Err(SpecError::InvalidShape(format!(
+                        "elementwise {} operands of {len} elements overflow usize",
+                        op.arity()
+                    )));
                 }
             }
         }
+        self.embed().map(|_| ())
     }
 
     /// The conv2d loop nest this problem embeds into (see the module docs
     /// for why each mapping is access-pattern exact).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec fails [`Self::validate`].
     pub fn embedded_conv_shape(&self) -> ConvShape {
+        self.embed().expect("a validated spec embeds into a valid conv shape")
+    }
+
+    /// [`Self::embedded_conv_shape`], through the validating constructor.
+    fn embed(&self) -> Result<ConvShape, SpecError> {
         match *self {
-            Spec::Conv(shape) => shape,
-            Spec::Matmul { m, n, k, .. } => ConvShape::new(1, m, k, 1, 1, 1, n, 1)
-                .expect("validated matmul extents embed into a valid conv shape"),
-            Spec::Pool { n, channels, h, w, window, stride, .. } => {
-                ConvShape::new(n, channels, channels, window, window, h, w, stride)
-                    .expect("validated pool extents embed into a valid conv shape")
-                    .with_groups(channels)
-                    .expect("per-channel pooling is a valid depthwise grouping")
-            }
-            Spec::Elementwise { len, .. } => ConvShape::new(1, 1, 1, 1, 1, 1, len, 1)
-                .expect("validated elementwise length embeds into a valid conv shape"),
+            Spec::Conv(shape) => Ok(shape),
+            Spec::Matmul { m, n, k, .. } => ConvShape::new(1, m, k, 1, 1, 1, n, 1),
+            // Per-channel pooling: a depthwise grouping.
+            Spec::Pool { n, channels, h, w, window, stride, .. } => ConvShape::new_general(
+                n, channels, channels, window, window, h, w, stride, 1, channels,
+            ),
+            Spec::Elementwise { len, .. } => ConvShape::new(1, 1, 1, 1, 1, 1, len, 1),
         }
     }
 
@@ -431,6 +440,32 @@ impl Deserialize for Spec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn specs_whose_embedding_or_operands_overflow_are_rejected() {
+        let huge = 1usize << 32;
+        let pool = |channels, h| Spec::Pool {
+            kind: PoolKind::Max,
+            n: 1,
+            channels,
+            h,
+            w: h,
+            window: 1,
+            stride: 1,
+        };
+        for spec in [
+            Spec::matmul(huge, huge, huge),
+            pool(huge, huge),
+            Spec::Elementwise { op: EwOp::Add, len: usize::MAX, strided: false },
+        ] {
+            assert!(spec.validate().is_err(), "{spec:?}");
+        }
+        // Depthwise embedding: pooling many channels does not multiply them.
+        assert!(pool(huge, 1).validate().is_ok());
+        assert_eq!(pool(huge, 1).embedded_conv_shape().reduction_c(), 1);
+        let relu = Spec::Elementwise { op: EwOp::Relu, len: usize::MAX / 2, strided: false };
+        assert!(relu.validate().is_ok());
+    }
 
     #[test]
     fn conv_spec_fingerprint_matches_the_bare_shape() {

@@ -1,5 +1,7 @@
 //! Tile-size vectors and multi-level tiling configurations.
 
+use std::ops::ControlFlow;
+
 use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::layout::LayoutConfig;
@@ -234,19 +236,6 @@ impl TileSizes {
             * self.get(LoopIndex::W)
     }
 
-    /// Number of tiles (product over indices of `ceil(extent/tile)`) when this
-    /// tile vector subdivides `enclosing`.
-    pub fn tile_count(&self, enclosing: &[usize; 7]) -> usize {
-        ALL_INDICES
-            .iter()
-            .map(|&idx| {
-                let e = enclosing[idx.canonical_position()];
-                let t = self.get(idx).max(1);
-                e.div_ceil(t)
-            })
-            .product()
-    }
-
     /// Element-wise minimum with an extent vector (useful to cap tiles at the
     /// problem size).
     pub fn min_with(&self, enclosing: &[usize; 7]) -> TileSizes {
@@ -279,6 +268,121 @@ impl std::fmt::Display for TileSizes {
             self.sizes[6]
         )
     }
+}
+
+/// A hyper-rectangular region of the seven-dimensional iteration space: for
+/// each loop index, the `(start, len)` range it covers. This is the unit the
+/// tile walk ([`TileConfig::walk`]) hands out, so the executors and the
+/// simulators see the same tiles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileRegion {
+    /// Batch range `(start, len)`.
+    pub n: (usize, usize),
+    /// Output-channel range.
+    pub k: (usize, usize),
+    /// Input-channel range, group-relative: offsets are within
+    /// `0..shape.reduction_c()` (for dense shapes that is the full channel
+    /// range).
+    pub c: (usize, usize),
+    /// Kernel-row range.
+    pub r: (usize, usize),
+    /// Kernel-column range.
+    pub s: (usize, usize),
+    /// Output-row range.
+    pub h: (usize, usize),
+    /// Output-column range.
+    pub w: (usize, usize),
+}
+
+impl TileRegion {
+    /// The full iteration space of a shape (the C range is the per-group
+    /// reduction extent).
+    pub fn full(shape: &ConvShape) -> Self {
+        TileRegion {
+            n: (0, shape.n),
+            k: (0, shape.k),
+            c: (0, shape.reduction_c()),
+            r: (0, shape.r),
+            s: (0, shape.s),
+            h: (0, shape.h),
+            w: (0, shape.w),
+        }
+    }
+
+    /// The `(start, len)` range of one loop index.
+    pub fn get(&self, idx: LoopIndex) -> (usize, usize) {
+        match idx {
+            LoopIndex::N => self.n,
+            LoopIndex::K => self.k,
+            LoopIndex::C => self.c,
+            LoopIndex::R => self.r,
+            LoopIndex::S => self.s,
+            LoopIndex::H => self.h,
+            LoopIndex::W => self.w,
+        }
+    }
+
+    /// Replace the range of one loop index.
+    pub fn set(&mut self, idx: LoopIndex, range: (usize, usize)) {
+        match idx {
+            LoopIndex::N => self.n = range,
+            LoopIndex::K => self.k = range,
+            LoopIndex::C => self.c = range,
+            LoopIndex::R => self.r = range,
+            LoopIndex::S => self.s = range,
+            LoopIndex::H => self.h = range,
+            LoopIndex::W => self.w = range,
+        }
+    }
+
+    /// Number of output elements the region covers.
+    pub fn output_points(&self) -> usize {
+        self.n.1 * self.k.1 * self.h.1 * self.w.1
+    }
+
+    /// Number of multiply–accumulate operations (iteration points) in the
+    /// region.
+    pub fn macs(&self) -> usize {
+        self.output_points() * self.c.1 * self.r.1 * self.s.1
+    }
+}
+
+/// The partition rule of every tile loop: the consecutive tiles of size `t`
+/// covering `(start, len)`, the last one partial.
+pub fn tiles((start, len): (usize, usize), t: usize) -> impl Iterator<Item = (usize, usize)> {
+    let t = t.max(1);
+    (0..len).step_by(t).map(move |off| (start + off, t.min(len - off)))
+}
+
+/// Number of tiles [`tiles`] yields when `sizes` (outermost first) subdivide
+/// a range of `len` level by level.
+fn count_tiles(len: usize, sizes: &[usize]) -> u128 {
+    let Some((&t, inner)) = sizes.split_first() else {
+        return 1;
+    };
+    // Every full tile subdivides alike; only the trailing partial one differs.
+    let t = t.max(1);
+    let partial = if len.is_multiple_of(t) { 0 } else { count_tiles(len % t, inner) };
+    (len / t) as u128 * count_tiles(t, inner) + partial
+}
+
+/// Visit every tile of `loops` (outermost first) inside `region`, which is
+/// restored unless `visit` stops the walk.
+fn walk_loops(
+    loops: &[(LoopIndex, usize)],
+    region: &mut TileRegion,
+    visit: &mut impl FnMut(&TileRegion) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let Some((&(idx, t), inner)) = loops.split_first() else {
+        return visit(region);
+    };
+    let range = region.get(idx);
+    for tile in tiles(range, t) {
+        region.set(idx, tile);
+        walk_loops(inner, region, visit)?;
+    }
+    region.set(idx, range);
+    ControlFlow::Continue(())
 }
 
 /// A complete multi-level tiling configuration for one conv2d operator:
@@ -390,6 +494,44 @@ impl TileConfig {
         }
     }
 
+    /// The tile sizes of the levels the walk to `through` nests, from L3
+    /// inward.
+    fn walked_levels(&self, through: TilingLevel) -> impl Iterator<Item = &TileSizes> {
+        self.tiles[through.ordinal()..].iter().rev()
+    }
+
+    /// Visit the tiles of level `through` inside `base` in execution order:
+    /// the L3, L2, … tile loops down to `through`, each level's seven loops
+    /// in permutation order, every tile loop partitioned by [`tiles`]. The
+    /// walk stops early, and returns [`ControlFlow::Break`], when `visit`
+    /// does.
+    pub fn walk(
+        &self,
+        base: &TileRegion,
+        through: TilingLevel,
+        mut visit: impl FnMut(&TileRegion) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let order = self.permutation.outer_to_inner();
+        let nest =
+            self.walked_levels(through).flat_map(|t| order.iter().map(move |&i| (i, t.get(i))));
+        let mut loops = [(LoopIndex::N, 0); 7 * NUM_TILING_LEVELS];
+        let len = loops.iter_mut().zip(nest).map(|(slot, l)| *slot = l).count();
+        let mut region = *base;
+        walk_loops(&loops[..len], &mut region, &mut visit)
+    }
+
+    /// Exact number of tiles [`Self::walk`] visits at level `through` inside
+    /// `base`, partial tiles included.
+    pub fn tile_count(&self, base: &TileRegion, through: TilingLevel) -> u128 {
+        ALL_INDICES
+            .iter()
+            .map(|&idx| {
+                let sizes: Vec<usize> = self.walked_levels(through).map(|t| t.get(idx)).collect();
+                count_tiles(base.get(idx).1, &sizes)
+            })
+            .product()
+    }
+
     /// Validate nesting: `register ⊆ l1 ⊆ l2 ⊆ l3 ⊆ shape`, all non-zero.
     ///
     /// # Errors
@@ -497,12 +639,143 @@ mod tests {
         assert!(TileSizes::from_array([1, 0, 1, 1, 1, 1, 1]).validate(&ext).is_err());
     }
 
+    /// A configuration where `l3` alone subdivides the problem.
+    fn single_level_config(shape: &ConvShape, l3: [usize; 7], perm: &str) -> TileConfig {
+        let t = TileSizes::from_array(l3);
+        TileConfig::new(
+            Permutation::parse(perm).unwrap(),
+            [t; NUM_TILING_LEVELS],
+            TileSizes::ones(),
+        )
+        .normalized(shape)
+    }
+
     #[test]
-    fn tile_count_uses_ceiling_division() {
-        let s = shape();
-        let t = TileSizes::from_array([1, 5, 8, 3, 3, 4, 14]);
-        // k: ceil(16/5)=4, h: ceil(14/4)=4, others 1
-        assert_eq!(t.tile_count(&s.extents()), 4 * 4);
+    fn tile_count_exact_with_partial_tiles() {
+        let shape = ConvShape::new(1, 4, 3, 3, 3, 8, 8, 1).unwrap();
+        let cfg = single_level_config(&shape, [1, 3, 3, 3, 3, 5, 8], "nkcrshw");
+        let full = TileRegion::full(&shape);
+        // k: ceil(4/3)=2, c:1, h: ceil(8/5)=2, others 1 → 4 tiles at L3.
+        assert_eq!(cfg.tile_count(&full, TilingLevel::L3), 4);
+        let mut seen = 0;
+        let _ = cfg.walk(&full, TilingLevel::L3, |_| {
+            seen += 1;
+            ControlFlow::Continue(())
+        });
+        assert_eq!(seen, 4);
+        // Nested partial tiles: K = 10 split by 4 and then by 3 is (3, 1),
+        // (3, 1), (2) — five tiles, where ceil(10 / 3) would say four.
+        let shape = ConvShape::new(1, 10, 1, 1, 1, 1, 1, 1).unwrap();
+        let mut cfg = TileConfig::untiled(&shape);
+        cfg.level_mut(TilingLevel::L3).set(LoopIndex::K, 4);
+        for level in [TilingLevel::L2, TilingLevel::L1, TilingLevel::Register] {
+            cfg.level_mut(level).set(LoopIndex::K, 3);
+        }
+        let full = TileRegion::full(&shape);
+        assert_eq!(cfg.tile_count(&full, TilingLevel::L3), 3);
+        assert_eq!(cfg.tile_count(&full, TilingLevel::L2), 5);
+        assert_eq!(cfg.tile_count(&full, TilingLevel::Register), 5);
+    }
+
+    /// Add one to `counts` at every iteration point of `region`, indexed in
+    /// canonical order within `extents`.
+    fn mark_points(counts: &mut [u32], extents: &[usize; 7], region: &TileRegion) {
+        let ranges = ALL_INDICES.map(|idx| region.get(idx));
+        if region.macs() == 0 {
+            return;
+        }
+        let mut point = ranges.map(|(start, _)| start);
+        'points: loop {
+            let flat = point.iter().zip(extents).fold(0, |acc, (&p, &e)| acc * e + p);
+            counts[flat] += 1;
+            for d in (0..7).rev() {
+                point[d] += 1;
+                if point[d] < ranges[d].0 + ranges[d].1 {
+                    continue 'points;
+                }
+                point[d] = ranges[d].0;
+            }
+            return;
+        }
+    }
+
+    #[test]
+    fn walk_regions_partition_iteration_space() {
+        // Partial tiles at every level: each level's sizes leave a remainder
+        // against the next outer level (or the extents) along some index.
+        let tiles = [
+            [1, 2, 1, 1, 1, 2, 2],
+            [1, 3, 2, 2, 1, 3, 2],
+            [1, 4, 2, 2, 2, 4, 3],
+            [2, 6, 3, 3, 2, 6, 4],
+        ]
+        .map(TileSizes::from_array);
+        let shapes = [
+            ConvShape::new(2, 7, 3, 3, 2, 7, 5, 1).unwrap(),
+            // Two-channel groups: K tiles of 3 straddle group edges.
+            ConvShape::new_general(1, 8, 8, 3, 3, 5, 5, 1, 1, 4).unwrap(),
+        ];
+        for shape in shapes {
+            let extents = shape.extents();
+            let full = TileRegion::full(&shape);
+            for name in ["nkhwcsr", "kcrsnhw", "nchwrsk"] {
+                let perm = Permutation::parse(name).unwrap();
+                let cfg = TileConfig::new(perm, tiles, TileSizes::ones()).normalized(&shape);
+                for level in TilingLevel::ALL {
+                    let mut counts = vec![0u32; shape.macs()];
+                    let mut visits = 0u128;
+                    let flow = cfg.walk(&full, level, |region| {
+                        mark_points(&mut counts, &extents, region);
+                        visits += 1;
+                        ControlFlow::Continue(())
+                    });
+                    assert_eq!(flow, ControlFlow::Continue(()));
+                    let at = format!("{shape} perm {name} level {level}");
+                    assert!(counts.iter().all(|&c| c == 1), "{at}: a point is missed or repeated");
+                    assert_eq!(cfg.tile_count(&full, level), visits, "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn walk_follows_the_permutation_and_stops_on_break() {
+        let shape = ConvShape::new(1, 4, 2, 1, 1, 3, 1, 1).unwrap();
+        let cfg = single_level_config(&shape, [1, 2, 1, 1, 1, 2, 1], "nkcrswh");
+        let mut starts = Vec::new();
+        let flow = cfg.walk(&TileRegion::full(&shape), TilingLevel::L3, |region| {
+            starts.push((region.k, region.c, region.h));
+            if starts.len() == 5 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(flow, ControlFlow::Break(()));
+        // h innermost, then c, then k; the last h tile is partial.
+        assert_eq!(
+            starts,
+            [
+                ((0, 2), (0, 1), (0, 2)),
+                ((0, 2), (0, 1), (2, 1)),
+                ((0, 2), (1, 1), (0, 2)),
+                ((0, 2), (1, 1), (2, 1)),
+                ((2, 2), (0, 1), (0, 2)),
+            ]
+        );
+    }
+
+    #[test]
+    fn region_accessors() {
+        let shape = ConvShape::new(2, 3, 4, 1, 1, 5, 6, 1).unwrap();
+        let mut r = TileRegion::full(&shape);
+        assert_eq!(r.output_points(), 2 * 3 * 5 * 6);
+        assert_eq!(r.macs(), 2 * 3 * 5 * 6 * 4);
+        for idx in ALL_INDICES {
+            r.set(idx, (1, 2));
+            assert_eq!(r.get(idx), (1, 2));
+        }
+        assert_eq!(tiles((3, 7), 3).collect::<Vec<_>>(), vec![(3, 3), (6, 3), (9, 1)]);
     }
 
     #[test]

@@ -1608,6 +1608,40 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_shapes_get_an_error_and_cache_nothing() {
+        let state = tiny_state();
+        let huge = 1u64 << 32;
+        for problem in [
+            format!(
+                "\"shape\": {{\"n\":1,\"k\":{huge},\"c\":{huge},\"r\":1,\"s\":1,\"h\":1,\"w\":1,\"stride\":1}}"
+            ),
+            format!("\"spec\": {{\"Matmul\": {{\"m\":{huge},\"n\":{huge},\"k\":{huge}}}}}"),
+            format!(
+                "\"spec\": {{\"Pool\": {{\"kind\":\"Max\",\"n\":1,\"channels\":{huge},\"h\":{huge},\"w\":{huge},\"window\":1,\"stride\":1}}}}"
+            ),
+            format!(
+                "\"spec\": {{\"Elementwise\": {{\"op\":\"Add\",\"len\":{},\"strided\":false}}}}",
+                u64::MAX
+            ),
+        ] {
+            let line = format!(
+                "{{\"Optimize\": {{{problem}, \"machine\": {{\"Preset\": \"tiny\"}}, \"options\": {}}}}}",
+                fast_options_json(),
+            );
+            // Rejected when the request is validated, not by a debug-build
+            // overflow panic inside the solve (a release build wraps instead).
+            match serde_json::from_str(&state.handle_line(&line)).unwrap() {
+                Response::Error { message } => assert!(
+                    message.contains("overflow usize") && !message.contains("panicked"),
+                    "{problem}: {message}"
+                ),
+                other => panic!("{problem}: expected an Error, got {other:?}"),
+            }
+        }
+        assert_eq!(state.cache.len(), 0);
+    }
+
+    #[test]
     fn oversized_request_lines_get_an_error_and_the_connection_survives() {
         let state = tiny_state();
         // One line just over the cap (no newline until the very end), then a

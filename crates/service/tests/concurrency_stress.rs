@@ -250,6 +250,32 @@ fn half_written_line_then_valid_pipelined_request_is_served_in_order() {
     assert_eq!(state.metrics().open_connections(), 0);
 }
 
+/// Fault injection: a nesting bomb — a 200 KB line of `[`, far under the
+/// line cap — gets an `Error` instead of overflowing a worker's stack, and
+/// the same connection then answers a pipelined `Ping`.
+#[test]
+fn nested_bomb_gets_an_error_and_the_connection_keeps_serving() {
+    let state = Arc::new(ServiceState::new(16));
+    let (addr, handle, join) = start(Arc::clone(&state), 2);
+
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut bomb = vec![b'['; 200_000];
+    bomb.extend_from_slice(b"\n\"Ping\"\n");
+    (&stream).write_all(&bomb).unwrap();
+    match recv_response(&mut reader) {
+        Response::Error { message } => assert!(message.contains("nesting"), "got: {message}"),
+        other => panic!("expected a nesting Error first, got {other:?}"),
+    }
+    assert!(matches!(recv_response(&mut reader), Response::Pong { .. }));
+    drop(reader);
+    drop(stream);
+
+    handle.shutdown();
+    join.join().unwrap();
+    assert_eq!(state.metrics().open_connections(), 0);
+}
+
 /// Fault injection: one client streams an oversized line mid-pipeline while
 /// another keeps pinging. The offender gets the cap `Error` at its ordered
 /// position and keeps its connection; the bystander never notices.
