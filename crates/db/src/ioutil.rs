@@ -1,9 +1,9 @@
 //! Atomic file replacement with temp-file hygiene.
 //!
 //! Shared by the database's page writer and the service's snapshot writer
-//! (`mopt_service::persist` delegates here): writes go to a uniquely named
-//! temporary sibling (`{stem}.tmp.{pid}.{seq}`) that is fsynced and renamed
-//! into place, so a crash mid-write never corrupts an existing file, racing
+//! (`mopt_service::persist`): writes go to a uniquely named temporary
+//! sibling (`{stem}.tmp.{pid}.{seq}`) that is fsynced and renamed into
+//! place, so a crash mid-write never corrupts an existing file, racing
 //! writers never interleave into one file, and a failed write never leaks
 //! its temp.
 
@@ -109,10 +109,13 @@ mod tests {
         std::fs::write(&path, "{}").unwrap();
         let stem = path.file_stem().unwrap().to_str().unwrap();
         let parent = path.parent().unwrap();
-        std::fs::write(parent.join(format!("{stem}.tmp.1.0")), "partial").unwrap();
+        // Temps a killed writer would have left (foreign pids).
+        for name in [format!("{stem}.tmp.1.0"), format!("{stem}.tmp.999999.3")] {
+            std::fs::write(parent.join(name), "partial").unwrap();
+        }
         let unrelated = parent.join(format!("{stem}-other.json"));
         std::fs::write(&unrelated, "keep").unwrap();
-        assert_eq!(remove_stale_temps(&path).unwrap(), 1);
+        assert_eq!(remove_stale_temps(&path).unwrap(), 2);
         assert!(unrelated.exists());
         assert_eq!(remove_stale_temps(&path).unwrap(), 0);
         std::fs::remove_file(&path).ok();

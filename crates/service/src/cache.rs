@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use conv_spec::{ConvShape, MachineModel, Spec};
@@ -224,11 +224,6 @@ type Shard = LruMap<CacheKey, OptimizeResult>;
 /// to be shared across server threads (e.g. in an `Arc`).
 pub struct ScheduleCache {
     shards: Vec<Mutex<Shard>>,
-    /// Per-shard dirty-since-last-flush flags, set by [`insert`](Self::insert)
-    /// and consumed by [`take_dirty_shards`](Self::take_dirty_shards) — the
-    /// contract that lets incremental persistence rewrite only the shards
-    /// that changed instead of the whole cache.
-    dirty: Vec<AtomicBool>,
     shard_capacity: usize,
     capacity: usize,
     requested_capacity: usize,
@@ -253,7 +248,6 @@ impl ScheduleCache {
         let shard_capacity = capacity.div_ceil(Self::SHARDS).max(1);
         ScheduleCache {
             shards: (0..Self::SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            dirty: (0..Self::SHARDS).map(|_| AtomicBool::new(false)).collect(),
             shard_capacity,
             capacity: shard_capacity * Self::SHARDS,
             requested_capacity: capacity,
@@ -286,13 +280,11 @@ impl ScheduleCache {
     /// of the target shard if it is full.
     pub fn insert(&self, key: CacheKey, result: OptimizeResult) {
         let tick = self.tick();
-        let index = key.shard_index(Self::SHARDS);
-        let mut shard = lock_recover(&self.shards[index]);
+        let mut shard = self.lock_shard(&key);
         if shard.insert(key, result, tick, self.shard_capacity) {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         self.insertions.fetch_add(1, Ordering::Relaxed);
-        self.dirty[index].store(true, Ordering::Release);
     }
 
     /// Look up `key`, computing and inserting the result on a miss.
@@ -334,12 +326,10 @@ impl ScheduleCache {
         self.requested_capacity
     }
 
-    /// Drop every entry (counters are preserved). Every shard is marked
-    /// dirty: an incremental flush after a clear must rewrite them all.
+    /// Drop every entry (counters are preserved).
     pub fn clear(&self) {
-        for (shard, dirty) in self.shards.iter().zip(&self.dirty) {
+        for shard in &self.shards {
             lock_recover(shard).clear();
-            dirty.store(true, Ordering::Release);
         }
     }
 
@@ -372,38 +362,6 @@ impl ScheduleCache {
         }
         all.sort_by_key(|(_, _, used)| *used);
         all.into_iter().map(|(k, r, _)| (k, r)).collect()
-    }
-
-    /// Resident `(key, result)` pairs of one shard, in recency order (least
-    /// recently used first), for per-shard snapshot files.
-    pub fn shard_entries(&self, shard: usize) -> Vec<(CacheKey, OptimizeResult)> {
-        let guard = lock_recover(&self.shards[shard]);
-        let mut entries: Vec<(CacheKey, OptimizeResult, u64)> =
-            guard.iter().map(|(k, v, used)| (k.clone(), v.clone(), used)).collect();
-        entries.sort_by_key(|(_, _, used)| *used);
-        entries.into_iter().map(|(k, r, _)| (k, r)).collect()
-    }
-
-    /// Atomically claim the set of shards modified since the last claim,
-    /// clearing their dirty flags. A flush that subsequently fails must hand
-    /// the claimed shards back via [`mark_shard_dirty`](Self::mark_shard_dirty)
-    /// or their changes would be silently dropped from the next flush.
-    pub fn take_dirty_shards(&self) -> Vec<usize> {
-        (0..Self::SHARDS).filter(|&i| self.dirty[i].swap(false, Ordering::AcqRel)).collect()
-    }
-
-    /// Re-flag a shard as dirty (failed-flush give-back; also used by loads
-    /// that want a full rewrite on the next save).
-    pub fn mark_shard_dirty(&self, shard: usize) {
-        self.dirty[shard].store(true, Ordering::Release);
-    }
-
-    /// Clear every dirty flag — call after a load from disk, when memory and
-    /// disk agree and an immediate incremental flush should write nothing.
-    pub fn mark_all_clean(&self) {
-        for dirty in &self.dirty {
-            dirty.store(false, Ordering::Release);
-        }
     }
 
     fn lock_shard(&self, key: &CacheKey) -> std::sync::MutexGuard<'_, Shard> {
@@ -637,46 +595,6 @@ pub(crate) mod tests {
         let odd = ScheduleCache::new(ScheduleCache::SHARDS + 1);
         assert_eq!(odd.stats().requested_capacity, ScheduleCache::SHARDS + 1);
         assert_eq!(odd.stats().capacity, 2 * ScheduleCache::SHARDS);
-    }
-
-    #[test]
-    fn dirty_flags_track_exactly_the_shards_that_changed() {
-        let cache = ScheduleCache::new(64);
-        assert_eq!(cache.take_dirty_shards(), Vec::<usize>::new(), "a fresh cache is clean");
-        let key = key_for(3);
-        let shard = key.shard_index(ScheduleCache::SHARDS);
-        cache.insert(key.clone(), dummy_result(&key.embedded_shape(), 1.0));
-        assert_eq!(cache.take_dirty_shards(), vec![shard], "only the touched shard is dirty");
-        // Claiming cleared the flags; lookups never dirty anything.
-        let _ = cache.get(&key);
-        assert_eq!(cache.take_dirty_shards(), Vec::<usize>::new());
-        // A failed flush hands the shard back.
-        cache.mark_shard_dirty(shard);
-        assert_eq!(cache.take_dirty_shards(), vec![shard]);
-        // Clearing dirties every shard; mark_all_clean resets.
-        cache.clear();
-        assert_eq!(cache.take_dirty_shards().len(), ScheduleCache::SHARDS);
-        cache.insert(key.clone(), dummy_result(&key.embedded_shape(), 2.0));
-        cache.mark_all_clean();
-        assert_eq!(cache.take_dirty_shards(), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn shard_entries_partition_the_cache_in_recency_order() {
-        let cache = ScheduleCache::new(64);
-        let keys: Vec<CacheKey> = (1..=12).map(key_for).collect();
-        for (i, key) in keys.iter().enumerate() {
-            cache.insert(key.clone(), dummy_result(&key.embedded_shape(), i as f64));
-        }
-        let mut collected: Vec<(CacheKey, OptimizeResult)> = Vec::new();
-        for shard in 0..ScheduleCache::SHARDS {
-            let entries = cache.shard_entries(shard);
-            for (key, _) in &entries {
-                assert_eq!(key.shard_index(ScheduleCache::SHARDS), shard);
-            }
-            collected.extend(entries);
-        }
-        assert_eq!(collected.len(), 12, "shards partition the entries exactly");
     }
 
     #[test]

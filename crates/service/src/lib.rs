@@ -83,10 +83,7 @@ pub use dbtier::{DbTier, DbTierStats};
 pub use eventloop::{EventLoopServer, ServerConfig, ShutdownHandle};
 pub use graphs::{GraphCacheKey, GraphPlanCache, GraphServiceStats};
 pub use metrics::{MetricsReport, ServiceMetrics};
-pub use persist::{
-    load_sharded, load_snapshot, remove_stale_temps, save_sharded, save_snapshot, FlushReport,
-    PersistError, Snapshot,
-};
+pub use persist::{load_snapshot, save_snapshot, PersistError, Snapshot};
 pub use server::{
     MachineSpec, Request, Response, ServiceState, ServiceStats, SlowTrace, Tier, MAX_REQUEST_BYTES,
     SLOW_LOG_CAPACITY,

@@ -523,7 +523,6 @@ pub struct ServiceState {
     pub graph_cache: GraphPlanCache,
     db: Option<Arc<DbTier>>,
     snapshot_path: Option<std::path::PathBuf>,
-    snapshot_dir: Option<std::path::PathBuf>,
     /// Coalesces concurrent cold `Optimize` misses on one cache key into a
     /// single solve. The value is the `(tier, result)` pair the leader
     /// produced, so every waiter's response is bit-identical to the
@@ -566,7 +565,6 @@ impl ServiceState {
             graph_cache: GraphPlanCache::new((capacity / 4).max(16)),
             db: None,
             snapshot_path: None,
-            snapshot_dir: None,
             flight: SingleFlight::new(),
             graph_flight: SingleFlight::new(),
             metrics: ServiceMetrics::default(),
@@ -656,7 +654,7 @@ impl ServiceState {
         mut self,
         path: std::path::PathBuf,
     ) -> Result<Self, crate::persist::PersistError> {
-        crate::persist::remove_stale_temps(&path).ok();
+        mopt_db::ioutil::remove_stale_temps(&path).ok();
         match crate::persist::load_snapshot(&self.cache, &path) {
             Ok(_) => {}
             Err(crate::persist::PersistError::Io(e))
@@ -664,21 +662,6 @@ impl ServiceState {
             Err(e) => return Err(e),
         }
         self.snapshot_path = Some(path);
-        Ok(self)
-    }
-
-    /// Attach a *sharded* snapshot directory (created on first save): loads
-    /// any existing shards, then enables incremental persistence — `Save`
-    /// and the autosaver rewrite only the cache shards dirtied since the
-    /// previous flush, so steady-state persistence cost tracks churn, not
-    /// cache size. Takes precedence over [`with_snapshot`](Self::with_snapshot)
-    /// when both are configured.
-    pub fn with_snapshot_dir(
-        mut self,
-        dir: std::path::PathBuf,
-    ) -> Result<Self, crate::persist::PersistError> {
-        crate::persist::load_sharded(&self.cache, &dir)?;
-        self.snapshot_dir = Some(dir);
         Ok(self)
     }
 
@@ -715,15 +698,9 @@ impl ServiceState {
         }
     }
 
-    /// Persist the cache if a snapshot path or directory is configured.
-    /// Returns the number of entries written (for a sharded directory: the
-    /// entries in the rewritten shards — zero when nothing was dirty), or
-    /// `None` when unconfigured.
+    /// Persist the cache if a snapshot path is configured. Returns the
+    /// number of entries written, or `None` when unconfigured.
     pub fn save(&self) -> Result<Option<usize>, crate::persist::PersistError> {
-        if let Some(dir) = &self.snapshot_dir {
-            return crate::persist::save_sharded(&self.cache, dir)
-                .map(|report| Some(report.entries_written));
-        }
         match &self.snapshot_path {
             Some(path) => crate::persist::save_snapshot(&self.cache, path).map(Some),
             None => Ok(None),
@@ -1985,30 +1962,6 @@ mod tests {
             }
             other => panic!("expected Metrics, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn sharded_snapshot_dir_round_trips_through_service_state() {
-        let dir = std::env::temp_dir().join(format!("moptd-snapdir-state-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let state = ServiceState::new(16).with_snapshot_dir(dir.clone()).unwrap();
-        let line = format!(
-            "{{\"Optimize\": {{\"shape\": {}, \"machine\": {{\"Preset\": \"tiny\"}}, \"options\": {}}}}}",
-            serde_json::to_string(&ConvShape::new(1, 4, 4, 3, 3, 8, 8, 1).unwrap()).unwrap(),
-            fast_options_json(),
-        );
-        state.handle_line(&line);
-        let saved: Response = serde_json::from_str(&state.handle_line("\"Save\"")).unwrap();
-        assert_eq!(saved, Response::Saved { entries: 1 });
-        // A second Save with no intervening churn flushes nothing.
-        let idle: Response = serde_json::from_str(&state.handle_line("\"Save\"")).unwrap();
-        assert_eq!(idle, Response::Saved { entries: 0 });
-        // A fresh state on the same directory starts warm.
-        let rewarmed = ServiceState::new(16).with_snapshot_dir(dir.clone()).unwrap();
-        assert_eq!(rewarmed.cache.len(), 1);
-        let warm: Response = serde_json::from_str(&rewarmed.handle_line(&line)).unwrap();
-        assert!(matches!(warm, Response::Optimized { cached: true, .. }));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

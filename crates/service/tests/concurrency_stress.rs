@@ -7,8 +7,8 @@
 //!   oversized lines hurt nobody but themselves,
 //! * shutdown while requests are in flight still answers them, closes
 //!   every connection, and — through the `moptd` binary under `SIGTERM` —
-//!   exits cleanly with a flushed sharded snapshot and no leaked temp
-//!   files.
+//!   exits cleanly with a flushed snapshot and schedule database and no
+//!   leaked temp files.
 //!
 //! These tests bind real TCP sockets and count wall-clock-sensitive
 //! things (coalesced solves inside a widened solve window), so CI runs
@@ -250,26 +250,54 @@ fn half_written_line_then_valid_pipelined_request_is_served_in_order() {
     assert_eq!(state.metrics().open_connections(), 0);
 }
 
-/// Fault injection: a nesting bomb — a 200 KB line of `[`, far under the
-/// line cap — gets an `Error` instead of overflowing a worker's stack, and
-/// the same connection then answers a pipelined `Ping`.
+/// Fault injection: hostile lines far under the line cap. A nesting bomb —
+/// a 200 KB line of `[` — gets an `Error` instead of overflowing a worker's
+/// stack, and a 4 MiB string value gets its `Error` in well under the read
+/// deadline instead of holding a worker in a quadratic parse. Each offending
+/// connection then answers a pipelined `Ping`, and a bystander is served
+/// throughout.
 #[test]
 fn nested_bomb_gets_an_error_and_the_connection_keeps_serving() {
     let state = Arc::new(ServiceState::new(16));
     let (addr, handle, join) = start(Arc::clone(&state), 2);
+    let connect = || {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    };
 
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let (bomb_stream, mut bomb_reader) = connect();
     let mut bomb = vec![b'['; 200_000];
     bomb.extend_from_slice(b"\n\"Ping\"\n");
-    (&stream).write_all(&bomb).unwrap();
-    match recv_response(&mut reader) {
+    (&bomb_stream).write_all(&bomb).unwrap();
+
+    let (long_stream, mut long_reader) = connect();
+    let long_line = format!(
+        "{{\"Optimize\": {{\"op\": \"Y0\", \"machine\": {{\"Preset\": \"tiny\"}}, \"threads\": \"{}\"}}}}\n\"Ping\"\n",
+        "x".repeat(4 << 20)
+    );
+    (&long_stream).write_all(long_line.as_bytes()).unwrap();
+
+    let (bystander, mut by_reader) = connect();
+    for _ in 0..3 {
+        (&bystander).write_all(b"\"Ping\"\n").unwrap();
+        assert!(matches!(recv_response(&mut by_reader), Response::Pong { .. }));
+    }
+
+    match recv_response(&mut bomb_reader) {
         Response::Error { message } => assert!(message.contains("nesting"), "got: {message}"),
         other => panic!("expected a nesting Error first, got {other:?}"),
     }
-    assert!(matches!(recv_response(&mut reader), Response::Pong { .. }));
-    drop(reader);
-    drop(stream);
+    assert!(matches!(recv_response(&mut bomb_reader), Response::Pong { .. }));
+    match recv_response(&mut long_reader) {
+        Response::Error { message } => {
+            assert!(message.contains("unsigned integer"), "got: {message}")
+        }
+        other => panic!("expected a type Error for the long string, got {other:?}"),
+    }
+    assert!(matches!(recv_response(&mut long_reader), Response::Pong { .. }));
+    drop((bomb_reader, bomb_stream, long_reader, long_stream, by_reader, bystander));
 
     handle.shutdown();
     join.join().unwrap();
@@ -355,11 +383,15 @@ fn shutdown_while_a_solve_is_in_flight_still_answers_it() {
 
 /// End to end through the `moptd` binary: `SIGTERM` while a request is in
 /// flight drains gracefully — the response still arrives, the process exits
-/// zero, and the sharded snapshot is flushed with no leaked temp files.
+/// zero, and both the snapshot and the schedule database are flushed, each
+/// loadable on its own, with no leaked temp files.
 #[test]
-fn moptd_sigterm_drains_and_flushes_the_sharded_snapshot() {
+fn moptd_sigterm_drains_and_flushes_the_snapshot_and_db() {
     let dir = std::env::temp_dir().join(format!("moptd-drain-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let snapshot = dir.join("cache.json");
+    let db = dir.join("specs.db");
 
     // Grab a free port, then hand it to the daemon (bind-then-drop is the
     // only portable way to learn one without parsing moptd's stderr).
@@ -369,7 +401,11 @@ fn moptd_sigterm_drains_and_flushes_the_sharded_snapshot() {
     };
     let addr = format!("127.0.0.1:{port}");
     let mut child = Command::new(env!("CARGO_BIN_EXE_moptd"))
-        .args(["--listen", &addr, "--workers", "2", "--snapshot-dir", dir.to_str().unwrap()])
+        .args(["--listen", &addr, "--workers", "2"])
+        .arg("--snapshot")
+        .arg(&snapshot)
+        .arg("--db")
+        .arg(&db)
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::null())
@@ -390,7 +426,8 @@ fn moptd_sigterm_drains_and_flushes_the_sharded_snapshot() {
         }
     };
     let mut reader = BufReader::new(stream.try_clone().unwrap());
-    (&stream).write_all(format!("{}\n", optimize_line(test_shape())).as_bytes()).unwrap();
+    let line = optimize_line(test_shape());
+    (&stream).write_all(format!("{line}\n").as_bytes()).unwrap();
     // Let the daemon pick the request up, then SIGTERM it mid-service.
     std::thread::sleep(Duration::from_millis(100));
     let killed =
@@ -409,25 +446,28 @@ fn moptd_sigterm_drains_and_flushes_the_sharded_snapshot() {
     let status = child.wait().unwrap();
     assert!(status.success(), "moptd must exit 0 after a graceful drain, got {status}");
 
-    // The post-drain save flushed the sharded snapshot: a manifest, at
-    // least one shard holding the solve, and no leftover temp files.
-    assert!(dir.join("MANIFEST.json").is_file(), "snapshot manifest must be flushed");
-    let entries: Vec<String> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .collect();
-    assert!(
-        entries.iter().any(|n| n.starts_with("shard-") && n.ends_with(".json")),
-        "expected a flushed shard file, found {entries:?}"
-    );
-    assert!(
-        entries.iter().all(|n| !n.contains(".tmp.")),
-        "no temp files may leak, found {entries:?}"
-    );
+    // The post-drain save left no temp file next to either store.
+    for store in [&dir, &db] {
+        let names: Vec<String> = std::fs::read_dir(store)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            names.iter().all(|n| !n.contains(".tmp.")),
+            "no temp files may leak in {}, found {names:?}",
+            store.display()
+        );
+    }
 
-    // A fresh daemon-less load proves the flushed snapshot is warm.
-    let rewarmed = ServiceState::new(16).with_snapshot_dir(dir.clone()).unwrap();
+    // A fresh daemon-less load of the snapshot alone starts warm…
+    let rewarmed = ServiceState::new(16).with_snapshot(snapshot.clone()).unwrap();
     assert_eq!(rewarmed.cache.len(), 1, "the drained solve must be in the snapshot");
+    // …and the database alone answers the same request without solving.
+    let from_db = ServiceState::new(16).with_db(db.clone()).unwrap();
+    match serde_json::from_str(&from_db.handle_line(&line)).unwrap() {
+        Response::Optimized { tier, .. } => assert_eq!(tier, Some(Tier::Db)),
+        other => panic!("expected Optimized from the db tier, got {other:?}"),
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
